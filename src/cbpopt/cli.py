@@ -2,15 +2,13 @@
 
 Exit codes: 0 success, 1 model parse/validation failure, 2 numerical failure,
 3 usage error.  ``--json`` replaces the human tables with a byte-stable JSON
-report.  The environment variable ``CBP_OPT_THREADS`` caps simulation
-parallelism.
+report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import gen_fn, general, sim, solver
@@ -256,10 +254,7 @@ def _cmd_simulate(args):
     roots = gen_fn.rho_star(model)
     f = _build_policy(model, args.policy, roots.a_star)
     caps = sim.SimCaps(max_jumps=args.max_jumps, max_pop=args.max_pop)
-    threads = int(os.environ.get("CBP_OPT_THREADS", "1") or "1")
-    estimate = sim.estimate_ep(
-        model, f, args.start, args.n, caps, args.seed, threads=max(1, threads)
-    )
+    estimate = sim.estimate_ep(model, f, args.start, args.n, caps, args.seed)
     report = {
         "policy": _policy_doc(f),
         "start": args.start,

@@ -1,21 +1,79 @@
-"""Embedded jump-chain rows and the discounted tail weight.
+"""Embedded jump-chain rows, the discounted tail weight, and the compiled
+one-jump operator.
 
 A branching jump from population i lands on i - 1 + k with probability
 b_k / |b1|, independent of i after the shift; the self-transition is zero by
 convention.  The tail weight folds the geometric continuation of values above
 the head threshold back into the head system, closing it at finite size.
+:class:`JumpRows` holds one compiled row per (state, action) and is the one
+operator that policy evaluation, improvement, the optimality-equation
+certificate and value iteration all go through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InadmissibleAction
 from .model import BranchingMechanism, GeneralModel, State
+
+
+@dataclass(frozen=True, eq=False)
+class JumpRows:
+    """One-jump operator over n states, one row per (state, action).
+
+    Rows are grouped by state, actions in sorted order; ``state_ptr[s]`` is
+    the first row of state s.  A value vector x holds the n state values and
+    then the target's value 1, so column n carries each row's target mass.
+    Entry e adds ``ent_weight[e] * x[ent_col[e]]`` to row ``ent_row[e]``,
+    summed in stored order.
+    """
+
+    actions: tuple[str, ...]
+    state_ptr: np.ndarray
+    ent_row: np.ndarray
+    ent_col: np.ndarray
+    ent_weight: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.state_ptr)
+
+    def candidates(self, x: np.ndarray) -> np.ndarray:
+        """One-jump value of every row at value vector x."""
+        flow = self.ent_weight * x[self.ent_col]
+        # bincount of no entries at all comes back as integers
+        return np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
+
+    def minimum(self, x: np.ndarray) -> np.ndarray:
+        """Per-state minimum of the candidates at x."""
+        return np.minimum.reduceat(self.candidates(x), self.state_ptr)
+
+    def argmin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-state minimum at x and the first (smallest-id) row attaining it."""
+        cand = self.candidates(x)
+        best = np.minimum.reduceat(cand, self.state_ptr)
+        n_rows = len(self.actions)
+        counts = np.diff(self.state_ptr, append=n_rows)
+        hit = cand == np.repeat(best, counts)
+        first = np.minimum.reduceat(np.where(hit, np.arange(n_rows), n_rows), self.state_ptr)
+        return best, first
+
+    def system(self, chosen: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(U, c)`` over the leading ``len(chosen)`` states, state s playing
+        row ``chosen[s]``; entries into later states are dropped."""
+        k = len(chosen)
+        slot = np.full(len(self.actions), -1)
+        slot[np.asarray(chosen, dtype=np.int64)] = np.arange(k)
+        at = slot[self.ent_row]
+        keep = at >= 0
+        dense = np.zeros((k, self.n + 1))
+        dense[at[keep], self.ent_col[keep]] = self.ent_weight[keep]
+        return dense[:, :k], dense[:, self.n]
 
 
 @dataclass(frozen=True)

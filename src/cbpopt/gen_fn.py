@@ -104,14 +104,15 @@ def rho(
             nv += w * v**k
         if trace is not None:
             trace.append(nv)
-        if nv - v < tol:
+        step = nv - v
+        if step < tol:
             root = min(max(nv, 0.0), 1.0)
             return RhoResult(
                 rho=root, iterations=n, residual=abs(eval_gen_fn(mech, root)), criticality=crit
             )
         v = nv
     raise NoConvergence(
-        f"root iteration still moving after {max_iter} steps (last step {nv - v:.3e},"
+        f"root iteration still moving after {max_iter} steps (last step {step:.3e},"
         f" tol {tol:.3e}); the mechanism is likely near-critical"
     )
 

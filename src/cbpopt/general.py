@@ -12,10 +12,11 @@ the window size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
+from .embedded import JumpRows
 from .errors import NoConvergence
 from .model import CbpModel, GeneralModel, State, validate_general_model
 from .solver import Policy, validate_policy
@@ -37,82 +38,47 @@ class HittingSolution:
     delta: float
 
 
-class _Compiled(NamedTuple):
-    interior: tuple
-    index: dict
-    row_const: np.ndarray
-    row_action: tuple
-    state_ptr: np.ndarray
-    ent_row: np.ndarray
-    ent_col: np.ndarray
-    ent_weight: np.ndarray
-    n_rows: int
+def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows]:
+    """Interior states and their one-jump rows.
 
-
-def _compile(model: GeneralModel) -> _Compiled:
-    """Flatten the update into bincount/reduceat-friendly arrays.
-
-    One row per (state, action), grouped by state with actions in sorted
-    order; entries carry normalized rates into interior states, target mass
-    goes into the row constant, cemetery mass is dropped (value zero).
+    Entries carry normalized rates into interior states, then the row's
+    target mass; cemetery mass is dropped (value zero).
     """
     interior = model.interior_states()
     index = {s: pos for pos, s in enumerate(interior)}
-    row_const: list[float] = []
-    row_action: list[str] = []
+    actions: list[str] = []
     state_ptr: list[int] = []
     ent_row: list[int] = []
     ent_col: list[int] = []
     ent_weight: list[float] = []
     for s in interior:
-        state_ptr.append(len(row_const))
+        state_ptr.append(len(actions))
         for a in model.actions_at(s):
             exit_rate = model.exit_rates[(s, a)]
             const = 0.0
-            rid = len(row_const)
             for j, rate in model.rows[(s, a)].items():
                 if j in model.target:
                     const += rate / exit_rate
-                elif j == model.cemetery:
-                    continue
-                else:
-                    ent_row.append(rid)
+                elif j != model.cemetery:
+                    ent_row.append(len(actions))
                     ent_col.append(index[j])
                     ent_weight.append(rate / exit_rate)
-            row_const.append(const)
-            row_action.append(a)
-    return _Compiled(
-        interior=interior,
-        index=index,
-        row_const=np.asarray(row_const, dtype=float),
-        row_action=tuple(row_action),
+            if const > 0.0:
+                ent_row.append(len(actions))
+                ent_col.append(len(interior))
+                ent_weight.append(const)
+            actions.append(a)
+    return interior, JumpRows(
+        actions=tuple(actions),
         state_ptr=np.asarray(state_ptr, dtype=np.int64),
         ent_row=np.asarray(ent_row, dtype=np.int64),
         ent_col=np.asarray(ent_col, dtype=np.int64),
         ent_weight=np.asarray(ent_weight, dtype=float),
-        n_rows=len(row_const),
     )
 
 
-def _candidates(comp: _Compiled, x: np.ndarray) -> np.ndarray:
-    flowin = np.bincount(
-        comp.ent_row, weights=comp.ent_weight * x[comp.ent_col], minlength=comp.n_rows
-    )
-    return comp.row_const + flowin
-
-
-def _greedy(comp: _Compiled, x: np.ndarray) -> dict:
-    cand = _candidates(comp, x)
-    policy = {}
-    boundaries = list(comp.state_ptr) + [comp.n_rows]
-    for pos, s in enumerate(comp.interior):
-        lo, hi = boundaries[pos], boundaries[pos + 1]
-        best = lo
-        for r in range(lo + 1, hi):
-            if cand[r] < cand[best]:
-                best = r
-        policy[s] = comp.row_action[best]
-    return policy
+def _greedy(interior, rows: JumpRows, x: np.ndarray) -> dict:
+    return {s: rows.actions[r] for s, r in zip(interior, rows.argmin(x)[1])}
 
 
 def value_iterate(
@@ -126,25 +92,29 @@ def value_iterate(
     Stops when the sup-norm change of one sweep drops below ``tol``.
     ``trace``, when a list is given, collects a copy of every iterate.
     """
-    comp = _compile(model)
-    fixed = {s: (1.0 if s in model.target else 0.0) for s in model.states if s not in comp.index}
-    if not comp.interior:
-        return HittingSolution(values=fixed, policy={}, iterations=0, delta=0.0)
-    x = np.zeros(len(comp.interior))
+    interior, rows = _compile(model)
+    if not interior:
+        values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
+        return HittingSolution(values=values, policy={}, iterations=0, delta=0.0)
+    n = len(interior)
+    x = np.zeros(n + 1)
+    x[n] = 1.0  # the target's value
+    inner = x[:n]  # the interior values, a view into x
     if trace is not None:
-        trace.append(x.copy())
+        trace.append(inner.copy())
     for sweep in range(1, max_iter + 1):
-        xn = np.minimum.reduceat(_candidates(comp, x), comp.state_ptr)
-        delta = float(np.max(np.abs(xn - x)))
-        x = xn
+        xn = rows.minimum(x)
+        delta = float(np.max(np.abs(xn - inner)))
+        inner[:] = xn
         if trace is not None:
-            trace.append(x.copy())
+            trace.append(xn)
         if delta < tol:
+            solved = dict(zip(interior, xn.tolist()))
             values = {
-                s: (fixed[s] if s in fixed else float(x[comp.index[s]])) for s in model.states
+                s: solved.get(s, 1.0 if s in model.target else 0.0) for s in model.states
             }
             return HittingSolution(
-                values=values, policy=_greedy(comp, x), iterations=sweep, delta=delta
+                values=values, policy=_greedy(interior, rows, x), iterations=sweep, delta=delta
             )
     raise NoConvergence(f"value iteration still moving after {max_iter} sweeps")
 
@@ -152,9 +122,9 @@ def value_iterate(
 def extract_policy(model: GeneralModel, values: Mapping[State, float]) -> dict:
     """Greedy argmin of the optimality equation at the given values,
     smallest action id on ties."""
-    comp = _compile(model)
-    x = np.asarray([values[s] for s in comp.interior], dtype=float)
-    return _greedy(comp, x)
+    interior, rows = _compile(model)
+    x = np.asarray([values[s] for s in interior] + [1.0], dtype=float)
+    return _greedy(interior, rows, x)
 
 
 def cbp_truncate(model: CbpModel, policy: Policy | None, level: int) -> GeneralModel:

@@ -11,16 +11,15 @@ caps instead of resampling it.
 
 Trajectory t of an estimate runs on its own generator, with state derived
 from (master_seed, t) by a fixed 64-bit mixing function: counter-based
-seeding, reproducible under any degree of parallelism.  The same generator
-is available from :func:`trajectory_rng`.
+seeding, so each trajectory is reproducible on its own, whatever order the
+trajectories run in.  The same generator is available from
+:func:`trajectory_rng`.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,24 +93,6 @@ def trajectory_rng(master_seed: int, t: int) -> np.random.Generator:
     bit_gen = np.random.PCG64(0)
     bit_gen.state = _derived_state(master_seed, t)
     return np.random.Generator(bit_gen)
-
-
-class _RngPool:
-    """Per-thread reusable PCG64 so per-trajectory reseeding is a state write."""
-
-    def __init__(self, master_seed: int):
-        self.master_seed = master_seed
-        self.local = threading.local()
-
-    def rng_for(self, t: int) -> np.random.Generator:
-        slot = getattr(self.local, "slot", None)
-        if slot is None:
-            bit_gen = np.random.PCG64(0)
-            slot = (bit_gen, np.random.Generator(bit_gen))
-            self.local.slot = slot
-        bit_gen, gen = slot
-        bit_gen.state = _derived_state(self.master_seed, t)
-        return gen
 
 
 class _Sampler:
@@ -223,12 +204,11 @@ def estimate_ep(
     n: int,
     caps: SimCaps,
     master_seed: int,
-    threads: int = 1,
 ) -> EpEstimate:
     """Extinction probability estimate from n independent trajectories.
 
-    Trajectory t runs on ``trajectory_rng(master_seed, t)``, so the result
-    does not depend on execution order or on the number of worker threads.
+    Trajectory t runs on ``trajectory_rng(master_seed, t)``; one generator is
+    reseeded per trajectory, so the result does not depend on execution order.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
@@ -236,20 +216,13 @@ def estimate_ep(
     if i0 < 1:
         raise ValueError("the start state must be at least 1")
     samplers = _samplers(model, f)
-    m = model.m
-    pool = _RngPool(master_seed)
-
-    def run(t: int) -> SimOutcome:
-        return _run(samplers, m, f, i0, caps, pool.rng_for(t))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            outcomes = list(
-                executor.map(run, range(n), chunksize=max(1, n // (8 * threads)))
-            )
-    else:
-        outcomes = [run(t) for t in range(n)]
-    extinct = sum(1 for o in outcomes if o.result == EXTINCT)
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    extinct = 0
+    for t in range(n):
+        bit_gen.state = _derived_state(master_seed, t)
+        if _run(samplers, model.m, f, i0, caps, rng).result == EXTINCT:
+            extinct += 1
     censored = n - extinct
     low, high = wilson_interval(extinct, n)
     return EpEstimate(p_hat=extinct / n, ci_low=low, ci_high=high, n=n, censored=censored)

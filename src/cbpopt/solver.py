@@ -15,14 +15,13 @@ policy at most once.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from . import gen_fn
-from .embedded import embedded_row, tail_weight
+from .embedded import JumpRows, tail_weight
 from .errors import (
     IterationBound,
     InadmissibleAction,
@@ -141,42 +140,62 @@ def validate_policy(model: CbpModel, f: Policy) -> None:
         raise InadmissibleAction(f"tail action {f.tail!r} is not in the shared tail set")
 
 
-def _head_system(model, f, rho_star_value):
-    """Linear system whose solution is the policy's head extinction values."""
-    m = model.m
-    b0s = [model.mechanism(f.head[i - 1]).b0 for i in range(1, m + 1)]
-    if min(b0s) > 0.0:
-        size = m
-        kind, i0 = GEOMETRIC, None
-    else:
-        i0 = next(i for i in range(1, m + 1) if b0s[i - 1] == 0.0)
-        size = i0 - 1
-        kind = ZERO
-    U = np.zeros((size, size))
-    c = np.zeros(size)
-    for i in range(1, size + 1):
-        mech = model.mechanism(f.head[i - 1])
-        row = embedded_row(mech, i).entries
-        c[i - 1] = row.get(0, 0.0)
-        span = m - 1 if kind == GEOMETRIC else size
-        for j, p in row.items():
-            if 1 <= j <= span:
-                U[i - 1, j - 1] = p
-        if kind == GEOMETRIC:
-            U[i - 1, m - 1] = tail_weight(mech, i, m, rho_star_value)
-    return UnitSystem(U, c), kind, i0
+def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
+    """The head's compiled one-jump rows under tail ratio ``rho_star_value``.
 
-
-def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionProfile:
-    """Extinction probabilities of one policy whose tail root equals ``rho_star``.
-
-    With no-death actions absent from the policy's head, the head system is
-    m-dimensional and the tail continues geometrically; otherwise states from
-    the first no-death choice on are exactly zero and only the states in front
-    of it need a solve.
+    State i sits at position i - 1.  Landings on 1..m-1 keep their
+    probabilities, landings from m on fold into state m's column through the
+    tail weight, and extinction from state 1 goes to the target column.  Each row
+    adds its target mass first, its in-head terms in ascending order and its
+    tail term last.
     """
-    validate_policy(model, f)
-    system, kind, i0 = _head_system(model, f, rho_star)
+    m = model.m
+    actions = tuple(a for choices in model.admissible for a in choices)
+    sizes = [len(choices) for choices in model.admissible]
+    row_state = np.repeat(np.arange(1, m + 1), sizes)
+    row_action = np.asarray(actions)
+    ent_row, ent_col, ent_weight = [], [], []
+    tail_rows, tail_weights = [], []
+    for a in sorted(set(actions)):
+        mech = model.mechanism(a)
+        rows = np.flatnonzero(row_action == a)
+        ks = np.fromiter(mech.support, dtype=np.int64, count=len(mech.support))
+        ps = np.fromiter(mech.offspring_pmf().values(), dtype=float, count=len(ks))
+        landing = row_state[rows, None] - 1 + ks
+        inside = landing < m
+        ent_row.append(np.broadcast_to(rows[:, None], landing.shape)[inside])
+        ent_col.append(np.where(landing == 0, m, landing - 1)[inside])
+        ent_weight.append(np.broadcast_to(ps, landing.shape)[inside])
+        for r in rows[~inside.all(axis=1)]:
+            tail_rows.append(r)
+            tail_weights.append(tail_weight(mech, int(row_state[r]), m, rho_star_value))
+    ent_row.append(np.asarray(tail_rows, dtype=np.int64))
+    ent_col.append(np.full(len(tail_rows), m - 1))
+    ent_weight.append(np.asarray(tail_weights, dtype=float))
+    return JumpRows(
+        actions=actions,
+        state_ptr=np.cumsum([0] + sizes[:-1]),
+        ent_row=np.concatenate(ent_row),
+        ent_col=np.concatenate(ent_col),
+        ent_weight=np.concatenate(ent_weight),
+    )
+
+
+def _policy_system(model: CbpModel, rows: JumpRows, f: Policy):
+    """The linear system behind the policy's head values, its tail kind and i0.
+
+    States from the first no-death choice i0 on are exactly zero, so only the
+    leading i0 - 1 states are solved; without one all m are.
+    """
+    i0 = next((i for i, a in enumerate(f.head, 1) if model.mechanism(a).b0 == 0.0), None)
+    size = model.m if i0 is None else i0 - 1
+    chosen = [rows.state_ptr[i] + model.admissible[i].index(f.head[i]) for i in range(size)]
+    U, c = rows.system(chosen)
+    return UnitSystem(U, c), (GEOMETRIC if i0 is None else ZERO), i0
+
+
+def _evaluate(model: CbpModel, rows: JumpRows, f: Policy, rho_star: float) -> ExtinctionProfile:
+    system, kind, i0 = _policy_system(model, rows, f)
     try:
         x = solve_unit(system)
     except SingularSystem as exc:
@@ -199,26 +218,34 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     )
 
 
-def _one_jump_value(model, i, action, values, rho_star_value):
-    """One-jump value at state i with the geometric tail folded in."""
-    m = model.m
-    mech = model.mechanism(action)
-    row = embedded_row(mech, i).entries
-    total = row.get(0, 0.0)
-    for j, p in row.items():
-        if 1 <= j <= m - 1:
-            total += p * values[j - 1]
-    return total + tail_weight(mech, i, m, rho_star_value) * values[m - 1]
+def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionProfile:
+    """Extinction probabilities of one policy whose tail root equals ``rho_star``.
+
+    With no-death actions absent from the policy's head, the head system is
+    m-dimensional and the tail continues geometrically; otherwise states from
+    the first no-death choice on are exactly zero and only the states in front
+    of it need a solve.
+    """
+    validate_policy(model, f)
+    return _evaluate(model, _head_rows(model, rho_star), f, rho_star)
 
 
-def _one_jump_value_truncated(model, i, action, values, cutoff):
-    """One-jump value at state i counting only states below ``cutoff``."""
-    row = embedded_row(model.mechanism(action), i).entries
-    total = row.get(0, 0.0)
-    for j, p in row.items():
-        if 1 <= j <= cutoff - 1:
-            total += p * values[j - 1]
-    return total
+def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> tuple:
+    """Head values, and the value vector of the one-jump operator: the same
+    values held at zero from ``cutoff`` on, then the target's 1."""
+    values = np.array([profile.ep(i) for i in range(1, model.m + 1)])
+    held = np.append(values, 1.0)
+    held[cutoff - 1 : model.m] = 0.0
+    return values, held
+
+
+def _improve(model, rows, f, profile, cutoff) -> Policy:
+    values, held = _held(model, profile, cutoff)
+    best, first = rows.argmin(held)
+    head = list(f.head)
+    for i in np.flatnonzero(best[:cutoff] < values[:cutoff]):
+        head[i] = rows.actions[first[i]]
+    return Policy(head=tuple(head), tail=f.tail)
 
 
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
@@ -228,39 +255,18 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     strictly below the current value, and the replacement is the smallest-id
     action among those attaining the minimum.  When a no-death action exists
     at some head state, only states up to the first such state are improved
-    (with values truncated there); later head states are never touched.
+    (with values held at zero from there on); later head states are never
+    touched.
     """
     validate_policy(model, f)
-    m = model.m
     cutoff = zero_death_cutoff(model)
-    values = [profile.ep(i) for i in range(1, m + 1)]
-    head = list(f.head)
-    if cutoff == m + 1:
-        if profile.rho_star is None:
-            raise ValueError("geometric-tail improvement needs the profile's tail ratio")
-        for i in range(1, m + 1):
-            current = values[i - 1]
-            best_action, best_value = None, math.inf
-            for a in model.admissible[i - 1]:
-                v = _one_jump_value(model, i, a, values, profile.rho_star)
-                if v < current and v < best_value:
-                    best_action, best_value = a, v
-            if best_action is not None:
-                head[i - 1] = best_action
-    else:
-        for i in range(1, cutoff + 1):
-            current = values[i - 1]
-            best_action, best_value = None, math.inf
-            for a in model.admissible[i - 1]:
-                v = _one_jump_value_truncated(model, i, a, values, cutoff)
-                if v < current and v < best_value:
-                    best_action, best_value = a, v
-            if best_action is not None:
-                head[i - 1] = best_action
-    return Policy(head=tuple(head), tail=f.tail)
+    if cutoff > model.m and profile.rho_star is None:
+        raise ValueError("geometric-tail improvement needs the profile's tail ratio")
+    rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
+    return _improve(model, _head_rows(model, rho_star_value), f, profile, cutoff)
 
 
-def _policy_iteration(model, rho_star_value, tail, start_head=None):
+def _policy_iteration(model, rows, rho_star_value, tail, start_head=None):
     if start_head is None:
         f = default_policy(model, tail)
     else:
@@ -272,11 +278,13 @@ def _policy_iteration(model, rho_star_value, tail, start_head=None):
                 )
             head[i - 1] = a
         f = Policy(head=tuple(head), tail=tail)
+    validate_policy(model, f)
+    cutoff = zero_death_cutoff(model)
     records = []
     bound = model.head_policy_count()
     for _ in range(bound):
-        profile = evaluate_policy(model, f, rho_star_value)
-        improved = improve_policy(model, f, profile)
+        profile = _evaluate(model, rows, f, rho_star_value)
+        improved = _improve(model, rows, f, profile, cutoff)
         changed = tuple(
             i for i in range(1, model.m + 1) if improved.head[i - 1] != f.head[i - 1]
         )
@@ -306,12 +314,13 @@ def solve(
     """
     cutoff = zero_death_cutoff(model)
     roots = gen_fn.rho_star(model, tol=tol, max_iter=max_iter)
-    records = _policy_iteration(model, roots.rho_star, roots.a_star, start_head)
+    rows = _head_rows(model, roots.rho_star)
+    records = _policy_iteration(model, rows, roots.rho_star, roots.a_star, start_head)
     final = records[-1]
-    residual = verify_oe(model, final.profile, rho_star_value=roots.rho_star)
+    residual = _oe_residual(model, rows, final.profile, cutoff)
     if exhaustive_ties:
         for alt in roots.tied[1:]:
-            alt_final = _policy_iteration(model, roots.rho_star, alt, start_head)[-1]
+            alt_final = _policy_iteration(model, rows, roots.rho_star, alt, start_head)[-1]
             for i in range(1, model.m + 1):
                 gap = abs(alt_final.profile.ep(i) - final.profile.ep(i))
                 if gap > _TIE_PROFILE_TOL:
@@ -333,6 +342,13 @@ def solve(
     )
 
 
+def _oe_residual(model, rows, profile, cutoff) -> float:
+    values, held = _held(model, profile, cutoff)
+    best = rows.minimum(held)
+    best[cutoff - 1 :] = 0.0
+    return float(np.abs(values - best).max())
+
+
 def verify_oe(
     model: CbpModel, profile: ExtinctionProfile, rho_star_value: float | None = None
 ) -> float:
@@ -340,36 +356,17 @@ def verify_oe(
 
     Without no-death actions the equation runs over all head states with the
     geometric tail weight; otherwise it runs over the states in front of the
-    cutoff, and the residual additionally includes any nonzero value at or
-    beyond the cutoff (those states must be exactly zero at the optimum).
+    cutoff with values held at zero from the cutoff on, and the residual
+    additionally includes any nonzero value at or beyond the cutoff (those
+    states must be exactly zero at the optimum).
     """
-    m = model.m
     cutoff = zero_death_cutoff(model)
-    values = [profile.ep(i) for i in range(1, m + 1)]
-    worst = 0.0
-    if cutoff == m + 1:
-        if rho_star_value is None:
-            rho_star_value = (
-                profile.rho_star
-                if profile.rho_star is not None
-                else gen_fn.rho_star(model).rho_star
-            )
-        for i in range(1, m + 1):
-            best = min(
-                _one_jump_value(model, i, a, values, rho_star_value)
-                for a in model.admissible[i - 1]
-            )
-            worst = max(worst, abs(values[i - 1] - best))
-    else:
-        for i in range(1, cutoff):
-            best = min(
-                _one_jump_value_truncated(model, i, a, values, cutoff)
-                for a in model.admissible[i - 1]
-            )
-            worst = max(worst, abs(values[i - 1] - best))
-        for i in range(cutoff, m + 1):
-            worst = max(worst, abs(values[i - 1]))
-    return worst
+    if rho_star_value is None:
+        rho_star_value = profile.rho_star
+    if rho_star_value is None:
+        # Below a cutoff the tail column is held at zero and the ratio is moot.
+        rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
+    return _oe_residual(model, _head_rows(model, rho_star_value), profile, cutoff)
 
 
 def brute_force_table(
@@ -380,31 +377,21 @@ def brute_force_table(
     if count > cap:
         raise TooManyPolicies(f"{count} head policies exceed the cap of {cap}")
     roots = gen_fn.rho_star(model)
+    rows = _head_rows(model, roots.rho_star)
     table = []
     for combo in itertools.product(*model.admissible):
         f = Policy(head=tuple(combo), tail=roots.a_star)
-        table.append((f, evaluate_policy(model, f, roots.rho_star)))
+        table.append((f, _evaluate(model, rows, f, roots.rho_star)))
     m = model.m
     floor = [min(p.head_values[i] for _, p in table) for i in range(m)]
     for _, p in table:
         if all(p.head_values[i] <= floor[i] + _ATTAIN_TOL for i in range(m)):
             return p, table
-    # No single policy matched the floor within tolerance; fall back to the
-    # componentwise minimum with the tail kind the model dictates.
-    worst_residual = max(p.residual for _, p in table)
-    cutoff = zero_death_cutoff(model)
-    if cutoff <= m:
-        profile = ExtinctionProfile(
-            head_values=tuple(floor), tail_kind=ZERO, i0=cutoff, residual=worst_residual
-        )
-    else:
-        profile = ExtinctionProfile(
-            head_values=tuple(floor),
-            tail_kind=GEOMETRIC,
-            rho_star=roots.rho_star,
-            residual=worst_residual,
-        )
-    return profile, table
+    # An optimal stationary policy attains the componentwise minimum.
+    raise NumericalError(
+        f"no head policy attains the componentwise minimum within {_ATTAIN_TOL:.0e};"
+        " this is a defect"
+    )
 
 
 def brute_force(model: CbpModel, cap: int = DEFAULT_BRUTE_CAP) -> ExtinctionProfile:

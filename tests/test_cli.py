@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,7 +213,22 @@ class TestCommands:
             "--json",
         ]
         assert main(args) == 0
-        sequential = capsys.readouterr().out
-        monkeypatch.setenv("CBP_OPT_THREADS", "4")
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("CBP_OPT_THREADS", "abc")
         assert main(args) == 0
-        assert capsys.readouterr().out == sequential
+        assert capsys.readouterr().out == plain
+
+
+GOLDEN = Path(__file__).parent / "golden"
+MODELS = Path(__file__).parent.parent / "models"
+
+
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_report_matches_golden(golden, capsys):
+    # tests/golden/<command>_<model>.json holds the --json report on models/<model>.json.
+    command, model = golden[: -len(".json")].split("_", 1)
+    args = [command, str(MODELS / f"{model}.json"), "--json"]
+    if command == "simulate":
+        args += ["--n", "2000", "--seed", "7"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,12 @@ class TestRho:
     def test_max_iter_exhausted(self):
         with pytest.raises(NoConvergence):
             rho(validate_mechanism({0: 1.0, 2: 2.0}), tol=1e-13, max_iter=3)
+
+    def test_no_convergence_reports_last_step(self):
+        with pytest.raises(NoConvergence) as err:
+            rho(validate_mechanism({0: 1.0, 2: 1.00001}), max_iter=1000)
+        step = float(re.search(r"last step ([^,]+),", str(err.value)).group(1))
+        assert step > 0.0
 
     @given(supercritical_mechanism_st())
     @settings(max_examples=60, deadline=None)

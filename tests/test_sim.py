@@ -72,12 +72,6 @@ class TestEstimateEp:
             assert abs(estimate.p_hat - exact) <= 4 * se
             assert estimate.ci_low <= exact <= estimate.ci_high
 
-    def test_thread_count_does_not_change_result(self, two_action_model):
-        f = Policy(("a1",), "a1")
-        a = estimate_ep(two_action_model, f, 1, 500, CAPS, master_seed=7, threads=1)
-        b = estimate_ep(two_action_model, f, 1, 500, CAPS, master_seed=7, threads=4)
-        assert a == b
-
     def test_estimate_aggregates_per_trajectory_runs(self, two_action_model):
         # The estimate is exactly the aggregate of per-trajectory runs on the
         # counter-derived generators.

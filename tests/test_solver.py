@@ -1,24 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbpopt import (
     GEOMETRIC,
     ZERO,
     ExtinctionProfile,
     InadmissibleAction,
+    NumericalError,
     Policy,
     TooManyPolicies,
     brute_force,
     brute_force_table,
+    embedded_row,
     evaluate_policy,
     improve_policy,
     rho_star,
     solve,
+    tail_weight,
     validate_cbp_model,
     verify_oe,
     zero_death_cutoff,
 )
-from cbpopt.solver import _head_system
+from cbpopt import solver
+from cbpopt.solver import _head_rows, _policy_system
 from conftest import bisect_min_root, random_cbp_model, random_mechanism_entries
 
 
@@ -88,7 +94,8 @@ class TestEvaluatePolicy:
             model = random_cbp_model(rng, zero_death_prob=0.2)
             roots = rho_star(model)
             f = Policy(tuple(c[0] for c in model.admissible), roots.a_star)
-            system, _, _ = _head_system(model, f, roots.rho_star)
+            rows = _head_rows(model, roots.rho_star)
+            system, _, _ = _policy_system(model, rows, f)
             if system.n == 0:
                 continue
             sums = system.U.sum(axis=1)
@@ -218,9 +225,97 @@ class TestVerifyOe:
         assert verify_oe(zero_death_model, fake) >= 0.2
 
 
+def _reference_one_jump(model, i, action, values, rho_value, cutoff):
+    """One-jump value at state i, written out per entry: with the geometric
+    tail folded in when no no-death action exists, truncated below the
+    cutoff otherwise."""
+    m = model.m
+    mech = model.mechanism(action)
+    row = embedded_row(mech, i).entries
+    total = row.get(0, 0.0)
+    last = m - 1 if cutoff == m + 1 else cutoff - 1
+    for j, p in row.items():
+        if 1 <= j <= last:
+            total += p * values[j - 1]
+    if cutoff == m + 1:
+        total += tail_weight(mech, i, m, rho_value) * values[m - 1]
+    return total
+
+
+def _reference_improve(model, f, values, rho_value):
+    cutoff = zero_death_cutoff(model)
+    head = list(f.head)
+    for i in range(1, min(cutoff, model.m) + 1):
+        best_action, best_value = None, np.inf
+        for a in model.admissible[i - 1]:
+            v = _reference_one_jump(model, i, a, values, rho_value, cutoff)
+            if v < values[i - 1] and v < best_value:
+                best_action, best_value = a, v
+        if best_action is not None:
+            head[i - 1] = best_action
+    return Policy(tuple(head), f.tail)
+
+
+def _reference_oe(model, values, rho_value):
+    cutoff = zero_death_cutoff(model)
+    worst = 0.0
+    for i in range(1, model.m + 1):
+        if i < cutoff:
+            best = min(
+                _reference_one_jump(model, i, a, values, rho_value, cutoff)
+                for a in model.admissible[i - 1]
+            )
+            worst = max(worst, abs(values[i - 1] - best))
+        else:
+            worst = max(worst, abs(values[i - 1]))
+    return worst
+
+
+@st.composite
+def _model_policy_values(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_cbp_model(
+        rng, max_m=7, ks=(0, 2, 3, 4), zero_death_prob=draw(st.sampled_from([0.0, 0.3]))
+    )
+    head = tuple(draw(st.sampled_from(choices)) for choices in model.admissible)
+    unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+    values = tuple(draw(st.lists(unit, min_size=model.m, max_size=model.m)))
+    return model, head, values
+
+
+class TestOneJumpOperator:
+    @given(_model_policy_values())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loops_exactly(self, case):
+        model, head, values = case
+        roots = rho_star(model)
+        f = Policy(head, roots.a_star)
+        profile = ExtinctionProfile(values, GEOMETRIC, rho_star=roots.rho_star)
+        assert improve_policy(model, f, profile) == _reference_improve(
+            model, f, values, roots.rho_star
+        )
+        assert verify_oe(model, profile) == _reference_oe(model, values, roots.rho_star)
+
+    @given(_model_policy_values())
+    @settings(max_examples=50, deadline=None)
+    def test_solve_certificate_matches_reference(self, case):
+        model = case[0]
+        report = solve(model)
+        values = report.optimal_profile.head_values
+        assert report.oe_residual == _reference_oe(model, values, report.rho_star)
+        assert _reference_improve(model, report.optimal_policy, values, report.rho_star) == (
+            report.optimal_policy
+        )
+
+
 class TestBruteForce:
     def test_matches_solve(self, two_action_model):
         assert brute_force(two_action_model).ep(1) == pytest.approx(0.5, abs=1e-12)
+
+    def test_unattained_floor_is_an_error(self, two_action_model, monkeypatch):
+        monkeypatch.setattr(solver, "_ATTAIN_TOL", -1.0)
+        with pytest.raises(NumericalError):
+            brute_force(two_action_model)
 
     def test_cap_enforced(self, two_action_model):
         with pytest.raises(TooManyPolicies):
