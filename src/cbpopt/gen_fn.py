@@ -83,8 +83,11 @@ def rho(
     Mechanisms with nonpositive drift have root exactly 1 and return at once.
     Otherwise the fixed-point iteration v <- g(v) starts at 0, increases
     monotonically, and stops when a step falls below ``tol``.  ``trace``, when
-    a list is given, collects every iterate.
+    a list is given, collects every iterate.  ``max_iter`` below 1 is a
+    ValueError, for every mechanism.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     crit = criticality(mech)
     if crit != SUPERCRITICAL:
         if trace is not None:

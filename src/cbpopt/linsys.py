@@ -1,4 +1,8 @@
-"""Dense solves of (I - U) x = c for small nonnegative systems."""
+"""Dense solves of (I - U) x = c for nonnegative systems.
+
+Elimination runs only inside the lower band of the matrix, so a policy's head
+system, which is upper Hessenberg, costs O(n^2) rather than O(n^3).
+"""
 
 from __future__ import annotations
 
@@ -69,6 +73,15 @@ def has_invertible_structure(U) -> bool:
 def solve_unit(system: UnitSystem) -> np.ndarray:
     """Solve (I - U) x = c by Gaussian elimination with partial pivoting.
 
+    With p the lower bandwidth of U (the largest row - col of a nonzero
+    entry), the pivot search and the elimination of column col stay in rows
+    col..col+p, so the solve costs O(n^2 p): O(n^2) for upper Hessenberg
+    systems, the same algorithm as a full search for dense ones.  A row below
+    the band has never been swapped or updated, so its entries in the current
+    column are still the exact zeros of U; a full search would pick the same
+    pivot and subtract exactly zero from those rows, and the result is the
+    same bit for bit (Golub & Van Loan, Matrix Computations, section 4.3).
+
     Raises SingularSystem when the best available pivot falls below
     ``PIVOT_RTOL`` times the largest entry of the initial matrix, which
     signals that the system's invertibility hypotheses do not hold.
@@ -82,8 +95,11 @@ def solve_unit(system: UnitSystem) -> np.ndarray:
     if scale == 0.0:
         raise SingularSystem("coefficient matrix is identically zero")
     threshold = PIVOT_RTOL * scale
+    rows, cols = np.nonzero(system.U)
+    band = int((rows - cols).max(initial=0))
     for col in range(n):
-        p = col + int(np.argmax(np.abs(A[col:, col])))
+        end = min(col + band + 1, n)
+        p = col + int(np.argmax(np.abs(A[col:end, col])))
         if abs(A[p, col]) < threshold:
             raise SingularSystem(
                 f"pivot {abs(A[p, col]):.3e} below threshold {threshold:.3e} at column {col}"
@@ -91,10 +107,10 @@ def solve_unit(system: UnitSystem) -> np.ndarray:
         if p != col:
             A[[col, p]] = A[[p, col]]
             x[[col, p]] = x[[p, col]]
-        if col + 1 < n:
-            factors = A[col + 1 :, col] / A[col, col]
-            A[col + 1 :, col:] -= np.outer(factors, A[col, col:])
-            x[col + 1 :] -= factors * x[col]
+        if col + 1 < end:
+            factors = A[col + 1 : end, col] / A[col, col]
+            A[col + 1 : end, col:] -= np.outer(factors, A[col, col:])
+            x[col + 1 : end] -= factors * x[col]
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
     return x

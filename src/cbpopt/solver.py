@@ -233,7 +233,9 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
 def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> tuple:
     """Head values, and the value vector of the one-jump operator: the same
     values held at zero from ``cutoff`` on, then the target's 1."""
-    values = np.array([profile.ep(i) for i in range(1, model.m + 1)])
+    if profile.m != model.m:
+        raise ValueError(f"profile covers {profile.m} states but the model has m={model.m}")
+    values = np.array(profile.head_values, dtype=float)
     held = np.append(values, 1.0)
     held[cutoff - 1 : model.m] = 0.0
     return values, held
@@ -266,7 +268,7 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     return _improve(model, _head_rows(model, rho_star_value), f, profile, cutoff)
 
 
-def _policy_iteration(model, rows, rho_star_value, tail, start_head=None):
+def _policy_iteration(model, rows, rho_star_value, cutoff, tail, start_head=None):
     if start_head is None:
         f = default_policy(model, tail)
     else:
@@ -279,7 +281,6 @@ def _policy_iteration(model, rows, rho_star_value, tail, start_head=None):
             head[i - 1] = a
         f = Policy(head=tuple(head), tail=tail)
     validate_policy(model, f)
-    cutoff = zero_death_cutoff(model)
     records = []
     bound = model.head_policy_count()
     for _ in range(bound):
@@ -315,12 +316,12 @@ def solve(
     cutoff = zero_death_cutoff(model)
     roots = gen_fn.rho_star(model, tol=tol, max_iter=max_iter)
     rows = _head_rows(model, roots.rho_star)
-    records = _policy_iteration(model, rows, roots.rho_star, roots.a_star, start_head)
+    records = _policy_iteration(model, rows, roots.rho_star, cutoff, roots.a_star, start_head)
     final = records[-1]
     residual = _oe_residual(model, rows, final.profile, cutoff)
     if exhaustive_ties:
         for alt in roots.tied[1:]:
-            alt_final = _policy_iteration(model, rows, roots.rho_star, alt, start_head)[-1]
+            alt_final = _policy_iteration(model, rows, roots.rho_star, cutoff, alt, start_head)[-1]
             for i in range(1, model.m + 1):
                 gap = abs(alt_final.profile.ep(i) - final.profile.ep(i))
                 if gap > _TIE_PROFILE_TOL:

@@ -63,6 +63,12 @@ class TestRho:
         with pytest.raises(NoConvergence):
             rho(validate_mechanism({0: 1.0, 2: 2.0}), tol=1e-13, max_iter=3)
 
+    @pytest.mark.parametrize("rates", [{0: 1.0, 2: 2.0}, {0: 2.0, 2: 1.0}])
+    def test_zero_max_iter_is_a_value_error(self, rates):
+        # Subcritical mechanisms never enter the iteration; they are rejected too.
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            rho(validate_mechanism(rates), max_iter=0)
+
     def test_no_convergence_reports_last_step(self):
         with pytest.raises(NoConvergence) as err:
             rho(validate_mechanism({0: 1.0, 2: 1.00001}), max_iter=1000)
@@ -144,6 +150,11 @@ class TestRhoStar:
         roots = rho_star(model)
         assert roots.tied == ("a1", "a3")
         assert roots.a_star == "a1"
+
+    def test_zero_max_iter_is_a_value_error(self):
+        model = validate_cbp_model(1, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 2.0}})
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            rho_star(model, max_iter=0)
 
     def test_no_convergence_names_action(self):
         model = validate_cbp_model(1, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 2.0}})

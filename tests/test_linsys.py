@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import SingularSystem, UnitSystem, has_invertible_structure, solve_unit
+from cbpopt.linsys import PIVOT_RTOL
 
 
 def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -19,6 +22,47 @@ def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
         if total > 0:
             U[i] *= cap / total
     return U
+
+
+def unrestricted_solve(U: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Pivoted elimination that searches and eliminates every row below the
+    pivot, whatever the band; returns the solution and the number of swaps."""
+    n = len(c)
+    A = np.eye(n) - U
+    x = c.copy()
+    threshold = PIVOT_RTOL * float(np.abs(A).max())
+    swaps = 0
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(A[col:, col])))
+        if abs(A[p, col]) < threshold:
+            raise SingularSystem(f"at column {col}")
+        if p != col:
+            swaps += 1
+            A[[col, p]] = A[[p, col]]
+            x[[col, p]] = x[[p, col]]
+        if col + 1 < n:
+            factors = A[col + 1 :, col] / A[col, col]
+            A[col + 1 :, col:] -= np.outer(factors, A[col, col:])
+            x[col + 1 :] -= factors * x[col]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
+    return x, swaps
+
+
+def random_banded(rng: np.random.Generator, n: int, band: int, density: float) -> np.ndarray:
+    """Nonnegative matrix with lower bandwidth exactly ``band``.  Entries up
+    to 2 beat the unit diagonal of I - U often, so rows swap inside the band."""
+    U = rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < density)
+    U[np.subtract.outer(np.arange(n), np.arange(n)) > band] = 0.0
+    U[band, 0] = rng.uniform(0.5, 2.0)
+    return U
+
+
+def singular_column(exc: SingularSystem) -> int:
+    return int(re.search(r"at column (\d+)", str(exc)).group(1))
+
+
+band_st = st.sampled_from([0, 1, 2, None])  # None: n - 1, a dense lower part
 
 
 class TestStructureCheck:
@@ -96,3 +140,57 @@ class TestSolveUnit:
         x = solve_unit(UnitSystem(U, c))
         assert np.all(x >= -1e-12)
         assert np.all(x <= 1.0 + 1e-12)
+
+
+class TestBandLimit:
+    @given(
+        st.integers(min_value=1, max_value=30),
+        band_st,
+        st.sampled_from([0.3, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_unrestricted_search(self, n, band, density, seed):
+        rng = np.random.default_rng(seed)
+        band = n - 1 if band is None else min(band, n - 1)
+        U = random_banded(rng, n, band, density)
+        c = rng.uniform(0.0, 1.0, size=n)
+        try:
+            want, _ = unrestricted_solve(U, c)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as err:
+                solve_unit(UnitSystem(U, c))
+            assert singular_column(err.value) == singular_column(exc)
+        else:
+            assert solve_unit(UnitSystem(U, c)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, band", [(12, 1), (12, 2), (12, 11), (30, 1)])
+    def test_swaps_inside_the_band(self, n, band):
+        rng = np.random.default_rng(n + band)
+        U = random_banded(rng, n, band, 1.0)
+        c = rng.uniform(0.0, 1.0, size=n)
+        want, swaps = unrestricted_solve(U, c)
+        assert swaps > 0
+        assert solve_unit(UnitSystem(U, c)).tobytes() == want.tobytes()
+
+    @given(
+        st.integers(min_value=2, max_value=30),
+        band_st,
+        st.data(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_singular_band_names_the_same_column(self, n, band, data, seed):
+        rng = np.random.default_rng(seed)
+        band = n - 1 if band is None else min(band, n - 1)
+        U = random_banded(rng, n, band, 1.0)
+        # Column k of I - U vanishes, and elimination keeps it zero.
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        U[:, k] = 0.0
+        U[k, k] = 1.0
+        c = rng.uniform(0.0, 1.0, size=n)
+        with pytest.raises(SingularSystem) as want:
+            unrestricted_solve(U, c)
+        with pytest.raises(SingularSystem) as got:
+            solve_unit(UnitSystem(U, c))
+        assert singular_column(got.value) == singular_column(want.value) <= k

@@ -208,6 +208,30 @@ class TestSolve:
                 assert all(d >= -1e-12 for d in drops)
                 assert any(d > 0.0 for d in drops)
 
+    @pytest.mark.parametrize("no_death_at", [None, 1975])
+    def test_large_head_from_worst_start(self, no_death_at):
+        # Two actions of one birth shape, a0 growing faster than a1 at every
+        # state; starting from a1 everywhere forces m-state solves.
+        m = 2000
+        mechs = {"a0": {0: 1.0, 2: 1.2, 3: 0.6}, "a1": {0: 1.0, 2: 0.6, 3: 0.3}}
+        admissible = {i: ["a0", "a1"] for i in range(1, m + 1)}
+        if no_death_at is not None:
+            mechs["z"] = {2: 1.0}
+            admissible[no_death_at].append("z")
+        model = validate_cbp_model(m, admissible, ["a0", "a1"], mechs)
+        report = solve(model, start_head={i: "a1" for i in range(1, m + 1)})
+        assert len(report.iterations) >= 2
+        assert report.oe_residual <= 1e-9
+        profile = report.optimal_profile
+        system, kind, i0 = _policy_system(
+            model, _head_rows(model, report.rho_star), report.optimal_policy
+        )
+        assert kind == profile.tail_kind == (GEOMETRIC if no_death_at is None else ZERO)
+        assert i0 == no_death_at
+        direct = np.linalg.solve(np.eye(system.n) - system.U, system.c)
+        assert np.abs(np.array(profile.head_values[: system.n]) - direct).max() <= 1e-12
+        assert all(v == 0.0 for v in profile.head_values[system.n :])
+
 
 class TestVerifyOe:
     def test_nonoptimal_profile_has_residual(self, two_action_model):
@@ -218,6 +242,11 @@ class TestVerifyOe:
     def test_optimal_profile_residual_small(self, two_action_model):
         report = solve(two_action_model)
         assert verify_oe(two_action_model, report.optimal_profile) <= 1e-9
+
+    def test_profile_of_another_size_is_rejected(self, two_action_model):
+        profile = ExtinctionProfile((0.5, 0.25), GEOMETRIC, rho_star=0.5)
+        with pytest.raises(ValueError, match="profile covers 2 states"):
+            verify_oe(two_action_model, profile)
 
     def test_zero_tail_certificate_checks_zeros(self, zero_death_model):
         # A profile that is positive beyond the cutoff cannot certify.
