@@ -15,6 +15,7 @@ from .errors import (
     NoConvergence,
     NonConservativeRow,
     NumericalError,
+    RateOverflow,
     SingularSystem,
     TargetNotAbsorbing,
     TooManyPolicies,

@@ -134,14 +134,6 @@ def _profile_text(profile: solver.ExtinctionProfile) -> str:
     return f"ep {values} ({tail}; system residual {profile.residual:.3g})"
 
 
-def _build_policy(model: CbpModel, spec: str, a_star: str) -> solver.Policy:
-    overrides = parse_policy_spec(spec, model)
-    head = list(solver.default_policy(model, a_star).head)
-    for i, a in overrides.items():
-        head[i - 1] = a
-    return solver.Policy(head=tuple(head), tail=a_star)
-
-
 def _cmd_rho(args):
     model = _require_cbp(load_model(args.model))
     roots = gen_fn.rho_star(model, tol=args.tol)
@@ -183,7 +175,7 @@ def _iteration_doc(record: solver.IterationRecord) -> dict:
 
 def _cmd_solve(args):
     model = _require_cbp(load_model(args.model))
-    start = parse_policy_spec(args.start_policy, model) or None
+    start = parse_policy_spec(args.start_policy)
     report_obj = solver.solve(
         model, tol=args.tol, start_head=start, exhaustive_ties=args.exhaustive_ties
     )
@@ -236,8 +228,9 @@ def _cmd_solve(args):
 
 def _cmd_evaluate(args):
     model = _require_cbp(load_model(args.model))
+    overrides = parse_policy_spec(args.policy)
     roots = gen_fn.rho_star(model)
-    f = _build_policy(model, args.policy, roots.a_star)
+    f = solver.default_policy(model, roots.a_star, overrides)
     profile = solver.evaluate_policy(model, f, roots.rho_star)
     report = {
         "policy": _policy_doc(f),
@@ -251,8 +244,9 @@ def _cmd_evaluate(args):
 
 def _cmd_simulate(args):
     model = _require_cbp(load_model(args.model))
+    overrides = parse_policy_spec(args.policy)
     roots = gen_fn.rho_star(model)
-    f = _build_policy(model, args.policy, roots.a_star)
+    f = solver.default_policy(model, roots.a_star, overrides)
     caps = sim.SimCaps(max_jumps=args.max_jumps, max_pop=args.max_pop)
     estimate = sim.estimate_ep(model, f, args.start, args.n, caps, args.seed)
     report = {

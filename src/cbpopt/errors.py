@@ -60,6 +60,10 @@ class TargetNotAbsorbing(ValidationError):
     pass
 
 
+class RateOverflow(ValidationError):
+    """The rates are finite but their total is not."""
+
+
 class InadmissibleAction(ValidationError):
     def __init__(self, message, state=None):
         super().__init__(message)

@@ -19,6 +19,7 @@ from .errors import (
     MZero,
     NegativeRate,
     NonConservativeRow,
+    RateOverflow,
     TargetNotAbsorbing,
     TrivialMechanism,
     UnknownActionId,
@@ -97,6 +98,8 @@ def validate_mechanism(raw: Mapping[int, float]) -> BranchingMechanism:
     if sum(r for k, r in kept.items() if k >= 2) <= 0.0:
         raise TrivialMechanism("no offspring production: every rate for k>=2 vanishes")
     b1 = -sum(kept.values())
+    if not math.isfinite(b1):
+        raise RateOverflow(f"the rates sum to {-b1}, which a float cannot hold")
     return BranchingMechanism(support=MappingProxyType(kept), b1=b1, max_k=max(kept))
 
 
@@ -263,6 +266,10 @@ def validate_general_model(
             if rate > 0.0:
                 offdiag[j] = rate
         total = sum(offdiag.values())
+        if not math.isfinite(total):
+            raise RateOverflow(
+                f"the rates in row ({i!r}, {a!r}) sum to {total}, which a float cannot hold"
+            )
         if i in target_set or i == cemetery:
             if total > 0.0:
                 raise TargetNotAbsorbing(

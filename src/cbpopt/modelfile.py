@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import InadmissibleAction, ModelFileError, UsageError
+from .errors import ModelFileError, UsageError
 from .model import (
     CbpModel,
     GeneralModel,
@@ -112,8 +112,13 @@ def _int_key(raw: str, context: str) -> int:
 
 
 def load_model(path) -> CbpModel | GeneralModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle, object_pairs_hook=_no_duplicate_keys)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle, object_pairs_hook=_no_duplicate_keys)
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"the model file is not valid UTF-8: {exc}") from None
+    except RecursionError:
+        raise ModelFileError("the model file nests too deeply to decode") from None
     return parse_model(doc)
 
 
@@ -237,11 +242,11 @@ def model_to_doc(model: CbpModel | GeneralModel) -> dict:
     return {"kind": "general", "general": doc}
 
 
-def parse_policy_spec(spec: str, model: CbpModel) -> dict[int, str]:
-    """Parse head overrides like ``"1:a2,2:a1"``.
+def parse_policy_spec(spec: str) -> dict[int, str]:
+    """Parse head overrides like ``"1:a2,2:a1"`` into a state -> action map.
 
-    States must lie in 1..m and actions must be admissible there; unlisted
-    head states later default to the smallest admissible id.
+    Only the syntax is checked here; ``solver.default_policy`` checks the
+    states and actions against a model.
     """
     overrides: dict[int, str] = {}
     if not spec:
@@ -254,15 +259,5 @@ def parse_policy_spec(spec: str, model: CbpModel) -> dict[int, str]:
             state = int(parts[0])
         except ValueError:
             raise UsageError(f"bad state {parts[0]!r} in policy spec") from None
-        action = parts[1].strip()
-        if not 1 <= state <= model.m:
-            raise InadmissibleAction(
-                f"policy spec assigns state {state}, outside the head range 1..{model.m}",
-                state=state,
-            )
-        if action not in model.admissible[state - 1]:
-            raise InadmissibleAction(
-                f"action {action!r} is not admissible at state {state}", state=state
-            )
-        overrides[state] = action
+        overrides[state] = parts[1].strip()
     return overrides

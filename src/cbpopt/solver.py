@@ -109,21 +109,39 @@ class SolveReport:
     dont_care_states: tuple[int, ...]
 
 
+def _no_death_actions(model: CbpModel) -> frozenset[str]:
+    """Ids of the actions with no death rate (b0 = 0)."""
+    return frozenset(a for a, mech in model.mechanisms.items() if mech.b0 == 0.0)
+
+
 def zero_death_cutoff(model: CbpModel) -> int:
     """Smallest head state where a no-death action is admissible, m+1 if none.
 
     Only the head action sets are consulted; the shared tail set plays no
     role here.
     """
-    for i in range(1, model.m + 1):
-        if min(model.mechanism(a).b0 for a in model.admissible[i - 1]) == 0.0:
+    no_death = _no_death_actions(model)
+    for i, choices in enumerate(model.admissible, 1):
+        if not no_death.isdisjoint(choices):
             return i
     return model.m + 1
 
 
-def default_policy(model: CbpModel, tail: str) -> Policy:
-    """Smallest-id head choice at every state, with the given tail action."""
-    return Policy(head=tuple(choices[0] for choices in model.admissible), tail=tail)
+def default_policy(model: CbpModel, tail: str, overrides: Mapping | None = None) -> Policy:
+    """Smallest-id head choice at every state, with the given tail action.
+
+    ``overrides`` maps head states to the actions played there instead.  A
+    state outside 1..m, an action not admissible at its state or a tail
+    action outside the shared tail set raises InadmissibleAction.
+    """
+    head = [choices[0] for choices in model.admissible]
+    for i, a in (overrides or {}).items():
+        if not isinstance(i, int) or not 1 <= i <= model.m:
+            raise InadmissibleAction(f"policy assigns state {i!r} outside 1..{model.m}", state=i)
+        head[i - 1] = a
+    f = Policy(head=tuple(head), tail=tail)
+    validate_policy(model, f)
+    return f
 
 
 def validate_policy(model: CbpModel, f: Policy) -> None:
@@ -181,21 +199,21 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     )
 
 
-def _policy_system(model: CbpModel, rows: JumpRows, f: Policy):
+def _policy_system(model: CbpModel, rows: JumpRows, f: Policy, no_death: frozenset):
     """The linear system behind the policy's head values, its tail kind and i0.
 
     States from the first no-death choice i0 on are exactly zero, so only the
     leading i0 - 1 states are solved; without one all m are.
     """
-    i0 = next((i for i, a in enumerate(f.head, 1) if model.mechanism(a).b0 == 0.0), None)
+    i0 = next((i for i, a in enumerate(f.head, 1) if a in no_death), None)
     size = model.m if i0 is None else i0 - 1
     chosen = [rows.state_ptr[i] + model.admissible[i].index(f.head[i]) for i in range(size)]
     U, c = rows.system(chosen)
     return UnitSystem(U, c), (GEOMETRIC if i0 is None else ZERO), i0
 
 
-def _evaluate(model: CbpModel, rows: JumpRows, f: Policy, rho_star: float) -> ExtinctionProfile:
-    system, kind, i0 = _policy_system(model, rows, f)
+def _evaluate(model, rows, f, rho_star, no_death) -> ExtinctionProfile:
+    system, kind, i0 = _policy_system(model, rows, f, no_death)
     try:
         x = solve_unit(system)
     except SingularSystem as exc:
@@ -227,7 +245,7 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     of it need a solve.
     """
     validate_policy(model, f)
-    return _evaluate(model, _head_rows(model, rho_star), f, rho_star)
+    return _evaluate(model, _head_rows(model, rho_star), f, rho_star, _no_death_actions(model))
 
 
 def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> tuple:
@@ -268,23 +286,11 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     return _improve(model, _head_rows(model, rho_star_value), f, profile, cutoff)
 
 
-def _policy_iteration(model, rows, rho_star_value, cutoff, tail, start_head=None):
-    if start_head is None:
-        f = default_policy(model, tail)
-    else:
-        head = list(default_policy(model, tail).head)
-        for i, a in start_head.items():
-            if not isinstance(i, int) or not 1 <= i <= model.m:
-                raise InadmissibleAction(
-                    f"start policy assigns state {i!r} outside 1..{model.m}", state=i
-                )
-            head[i - 1] = a
-        f = Policy(head=tuple(head), tail=tail)
-    validate_policy(model, f)
+def _policy_iteration(model, rows, rho_star_value, cutoff, no_death, f):
     records = []
     bound = model.head_policy_count()
     for _ in range(bound):
-        profile = _evaluate(model, rows, f, rho_star_value)
+        profile = _evaluate(model, rows, f, rho_star_value, no_death)
         improved = _improve(model, rows, f, profile, cutoff)
         changed = tuple(
             i for i in range(1, model.m + 1) if improved.head[i - 1] != f.head[i - 1]
@@ -311,17 +317,24 @@ def solve(
     the tail, iterates evaluate/improve from the smallest-id head policy (or
     ``start_head`` overrides), and certifies the result by the optimality
     equation residual.  ``exhaustive_ties`` re-solves with every tied tail
-    action and demands matching profiles.
+    action, each under its own root, and demands matching profiles.
     """
     cutoff = zero_death_cutoff(model)
+    no_death = _no_death_actions(model)
     roots = gen_fn.rho_star(model, tol=tol, max_iter=max_iter)
     rows = _head_rows(model, roots.rho_star)
-    records = _policy_iteration(model, rows, roots.rho_star, cutoff, roots.a_star, start_head)
+    f = default_policy(model, roots.a_star, start_head)
+    records = _policy_iteration(model, rows, roots.rho_star, cutoff, no_death, f)
     final = records[-1]
     residual = _oe_residual(model, rows, final.profile, cutoff)
     if exhaustive_ties:
         for alt in roots.tied[1:]:
-            alt_final = _policy_iteration(model, rows, roots.rho_star, cutoff, alt, start_head)[-1]
+            # The tail action enters the head only through its root.
+            alt_rho = roots.per_action[alt].rho
+            alt_f = default_policy(model, alt, start_head)
+            alt_final = _policy_iteration(
+                model, _head_rows(model, alt_rho), alt_rho, cutoff, no_death, alt_f
+            )[-1]
             for i in range(1, model.m + 1):
                 gap = abs(alt_final.profile.ep(i) - final.profile.ep(i))
                 if gap > _TIE_PROFILE_TOL:
@@ -379,10 +392,11 @@ def brute_force_table(
         raise TooManyPolicies(f"{count} head policies exceed the cap of {cap}")
     roots = gen_fn.rho_star(model)
     rows = _head_rows(model, roots.rho_star)
+    no_death = _no_death_actions(model)
     table = []
     for combo in itertools.product(*model.admissible):
         f = Policy(head=tuple(combo), tail=roots.a_star)
-        table.append((f, _evaluate(model, rows, f, roots.rho_star)))
+        table.append((f, _evaluate(model, rows, f, roots.rho_star, no_death)))
     m = model.m
     floor = [min(p.head_values[i] for _, p in table) for i in range(m)]
     for _, p in table:

@@ -78,6 +78,57 @@ class TestModelFiles:
     def test_missing_file(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"kind": "\xff"}', b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 100_000],
+        ids=["invalid_utf8", "deep_lists", "deep_objects"],
+    )
+    def test_unreadable_file_is_a_model_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            (
+                "solve",
+                {
+                    "kind": "cbp",
+                    "cbp": {
+                        "m": 1,
+                        "actions": [{"id": "a", "b": {"0": 1, "2": 1e308, "3": 1e308}}],
+                        "admissible": {"1": ["a"]},
+                        "tail": ["a"],
+                    },
+                },
+            ),
+            (
+                "general",
+                {
+                    "kind": "general",
+                    "general": {
+                        "states": [0, 1, "d"],
+                        "target": [0],
+                        "cemetery": "d",
+                        "rates": {"1": {"a": {"0": 1e308, "d": 1e308}}},
+                    },
+                },
+            ),
+        ],
+        ids=["cbp", "general"],
+    )
+    def test_rate_total_overflow_is_a_model_error(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error:")
+        assert captured.out == ""
+
     def test_seventeen_digit_floats(self):
         assert dump_json({"x": 13 / 21}) == '{"x":0.61904761904761907}'
         assert dump_json({"x": 0.5}) == '{"x":0.5}'
@@ -120,13 +171,19 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["profile"]["head_values"][0] - 6 / 7) < 1e-10
 
-    def test_evaluate_inadmissible_action(self, cbp_path, capsys):
-        assert main(["evaluate", cbp_path, "--policy", "1:ghost"]) == 1
-        assert "state 1" in capsys.readouterr().err
-
-    def test_evaluate_state_out_of_range(self, cbp_path, capsys):
-        assert main(["evaluate", cbp_path, "--policy", "7:a1"]) == 1
-        assert "state 7" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, option",
+        [("evaluate", "--policy"), ("simulate", "--policy"), ("solve", "--start-policy")],
+        ids=["evaluate", "simulate", "solve"],
+    )
+    @pytest.mark.parametrize(
+        "spec, state", [("1:ghost", 1), ("7:a1", 7)], ids=["inadmissible", "out_of_range"]
+    )
+    def test_bad_policy_is_a_model_error(self, cbp_path, capsys, command, option, spec, state):
+        assert main([command, cbp_path, option, spec]) == 1
+        captured = capsys.readouterr()
+        assert f"state {state}" in captured.err
+        assert captured.out == ""
 
     def test_malformed_policy_spec(self, cbp_path):
         assert main(["evaluate", cbp_path, "--policy", "nonsense"]) == 3

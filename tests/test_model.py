@@ -10,6 +10,7 @@ from cbpopt import (
     MZero,
     NegativeRate,
     NonConservativeRow,
+    RateOverflow,
     TargetNotAbsorbing,
     TrivialMechanism,
     UnknownActionId,
@@ -44,6 +45,11 @@ class TestMechanism:
     def test_k_equals_one_rejected(self):
         with pytest.raises(EntryForKEqualsOne):
             validate_mechanism({1: 1.0, 2: 1.0})
+
+    def test_rate_total_overflow_rejected(self):
+        # Each rate is finite; their total, and so the diagonal, is not.
+        with pytest.raises(RateOverflow):
+            validate_mechanism({0: 1.0, 2: 1e308, 3: 1e308})
 
     def test_zero_entries_dropped(self):
         mech = validate_mechanism({0: 0.0, 2: 1.0, 3: 0.0})
@@ -142,6 +148,12 @@ class TestGeneralModel:
     def test_zero_exit_rate(self):
         with pytest.raises(ZeroExitRate):
             validate_general_model([0, 1], [0], None, {(1, "a"): {0: 0.0}})
+
+    def test_rate_total_overflow_rejected(self):
+        with pytest.raises(RateOverflow):
+            validate_general_model(
+                [0, 1, "d"], [0], "d", {(1, "a"): {0: 1e308, "d": 1e308}}
+            )
 
     def test_negative_off_diagonal(self):
         with pytest.raises(NonConservativeRow):

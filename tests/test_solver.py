@@ -13,6 +13,7 @@ from cbpopt import (
     TooManyPolicies,
     brute_force,
     brute_force_table,
+    default_policy,
     embedded_row,
     evaluate_policy,
     improve_policy,
@@ -23,8 +24,8 @@ from cbpopt import (
     verify_oe,
     zero_death_cutoff,
 )
-from cbpopt import solver
-from cbpopt.solver import _head_rows, _policy_system
+from cbpopt import gen_fn, solver
+from cbpopt.solver import _head_rows, _no_death_actions, _policy_system
 from conftest import bisect_min_root, random_cbp_model, random_mechanism_entries
 
 
@@ -51,6 +52,69 @@ class TestZeroDeathCutoff:
             1, {1: ["a1"]}, ["a1", "z"], {"a1": {0: 1.0, 2: 2.0}, "z": {2: 1.0}}
         )
         assert zero_death_cutoff(model) == 2
+
+
+def _reference_cutoff(model):
+    for i in range(1, model.m + 1):
+        if min(model.mechanism(a).b0 for a in model.admissible[i - 1]) == 0.0:
+            return i
+    return model.m + 1
+
+
+@st.composite
+def _model_and_head(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_cbp_model(rng, max_m=7, ks=(0, 2, 3, 4), zero_death_prob=0.3)
+    head = tuple(draw(st.sampled_from(choices)) for choices in model.admissible)
+    return model, head
+
+
+class TestNoDeathDecision:
+    @given(_model_and_head())
+    @settings(max_examples=150, deadline=None)
+    def test_cutoff_and_i0_match_reference_loops(self, case):
+        model, head = case
+        assert zero_death_cutoff(model) == _reference_cutoff(model)
+        f = Policy(head, model.tail_actions[0])
+        rows = _head_rows(model, 0.5)
+        system, kind, i0 = _policy_system(model, rows, f, _no_death_actions(model))
+        reference_i0 = next(
+            (i for i, a in enumerate(head, 1) if model.mechanism(a).b0 == 0.0), None
+        )
+        assert i0 == reference_i0
+        assert kind == (GEOMETRIC if i0 is None else ZERO)
+        assert system.n == (model.m if i0 is None else i0 - 1)
+
+
+class TestDefaultPolicy:
+    @pytest.fixture
+    def model(self):
+        return validate_cbp_model(
+            3,
+            {1: ["a1", "a2"], 2: ["a1", "a2"], 3: ["a2"]},
+            ["a1"],
+            {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 3.0, 2: 1.0}},
+        )
+
+    def test_smallest_id_without_overrides(self, model):
+        assert default_policy(model, "a1") == Policy(("a1", "a1", "a2"), "a1")
+
+    def test_overrides_replace_the_default(self, model):
+        assert default_policy(model, "a1", {2: "a2"}) == Policy(("a1", "a2", "a2"), "a1")
+
+    @pytest.mark.parametrize(
+        "overrides, state",
+        [({0: "a1"}, 0), ({4: "a1"}, 4), ({"1": "a1"}, "1"), ({3: "a1"}, 3), ({1: "x"}, 1)],
+        ids=["below_range", "above_range", "non_int_key", "inadmissible", "unknown_action"],
+    )
+    def test_bad_override_names_its_state(self, model, overrides, state):
+        with pytest.raises(InadmissibleAction) as err:
+            default_policy(model, "a1", overrides)
+        assert err.value.state == state
+
+    def test_tail_outside_shared_set(self, model):
+        with pytest.raises(InadmissibleAction):
+            default_policy(model, "a2")
 
 
 class TestEvaluatePolicy:
@@ -95,7 +159,7 @@ class TestEvaluatePolicy:
             roots = rho_star(model)
             f = Policy(tuple(c[0] for c in model.admissible), roots.a_star)
             rows = _head_rows(model, roots.rho_star)
-            system, _, _ = _policy_system(model, rows, f)
+            system, _, _ = _policy_system(model, rows, f, _no_death_actions(model))
             if system.n == 0:
                 continue
             sums = system.U.sum(axis=1)
@@ -194,6 +258,20 @@ class TestSolve:
         assert report.tied == ("a1", "a3")
         assert report.optimal_profile.ep(1) == pytest.approx(0.5, abs=1e-10)
 
+    def test_exhaustive_ties_compares_each_root(self, monkeypatch):
+        # Roots 0.5 and 0.501 tie under the loosened tolerance; head values
+        # solved under each root differ by about 5e-4.
+        monkeypatch.setattr(gen_fn, "ROOT_TIE_TOL", 1e-2)
+        model = validate_cbp_model(
+            1,
+            {1: ["a1"]},
+            ["a1", "a2"],
+            {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 1.002, 2: 2.0}},
+        )
+        assert solve(model).tied == ("a1", "a2")
+        with pytest.raises(NumericalError, match="disagree at state 1"):
+            solve(model, exhaustive_ties=True)
+
     def test_monotone_improvement_and_termination(self):
         rng = np.random.default_rng(42)
         for _ in range(40):
@@ -224,7 +302,10 @@ class TestSolve:
         assert report.oe_residual <= 1e-9
         profile = report.optimal_profile
         system, kind, i0 = _policy_system(
-            model, _head_rows(model, report.rho_star), report.optimal_policy
+            model,
+            _head_rows(model, report.rho_star),
+            report.optimal_policy,
+            _no_death_actions(model),
         )
         assert kind == profile.tail_kind == (GEOMETRIC if no_death_at is None else ZERO)
         assert i0 == no_death_at
