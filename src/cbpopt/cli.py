@@ -145,6 +145,7 @@ def _cmd_rho(args):
                 "criticality": roots.per_action[a].criticality,
                 "iterations": roots.per_action[a].iterations,
                 "residual": roots.per_action[a].residual,
+                "bracket": list(roots.per_action[a].bracket),
             }
             for a in model.tail_actions
         ],

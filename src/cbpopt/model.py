@@ -254,6 +254,12 @@ def validate_general_model(
                     action=a,
                 ) from None
             if j == i:
+                if not math.isfinite(rate):
+                    raise NonConservativeRow(
+                        f"supplied diagonal in row ({i!r}, {a!r}) must be finite, got {rate}",
+                        state=i,
+                        action=a,
+                    )
                 diagonal = rate
                 continue
             if not math.isfinite(rate) or rate < 0.0:

@@ -129,6 +129,17 @@ class TestModelFiles:
         assert captured.err.startswith("model error:")
         assert captured.out == ""
 
+    def test_nan_diagonal_is_a_model_error(self, tmp_path, capsys):
+        # Python's json reads the NaN literal, so the check must be in validation.
+        path = tmp_path / "nan.json"
+        text = json.dumps(GENERAL).replace('"0": 1.0, "delta": 1.0', '"0": 1.0, "1": NaN')
+        path.write_text(text)
+        assert "NaN" in text
+        assert main(["general", str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error:")
+        assert captured.out == ""
+
     def test_seventeen_digit_floats(self):
         assert dump_json({"x": 13 / 21}) == '{"x":0.61904761904761907}'
         assert dump_json({"x": 0.5}) == '{"x":0.5}'
@@ -142,6 +153,14 @@ class TestCommands:
         assert report["a_star"] == "a1"
         assert abs(report["rho_star"] - 0.5) < 1e-10
         assert [row["id"] for row in report["actions"]] == ["a1"]
+
+    def test_rho_json_reports_certified_bracket(self, cbp_path, capsys):
+        assert main(["rho", cbp_path, "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["actions"]
+        lo, hi = row["bracket"]
+        assert lo <= row["rho"] <= hi and hi - lo <= 1e-9
+        assert main(["rho", cbp_path]) == 0
+        assert "bracket" not in capsys.readouterr().out
 
     def test_solve_json_byte_stable(self, cbp_path, capsys):
         assert main(["solve", cbp_path, "--json"]) == 0

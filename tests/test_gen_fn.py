@@ -1,8 +1,9 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cbpopt import (
@@ -10,6 +11,7 @@ from cbpopt import (
     SUBCRITICAL,
     SUPERCRITICAL,
     NoConvergence,
+    NumericalError,
     criticality,
     eval_gen_fn,
     rho,
@@ -17,7 +19,39 @@ from cbpopt import (
     validate_cbp_model,
     validate_mechanism,
 )
+from cbpopt import gen_fn
 from conftest import bisect_min_root, mechanism_st, supercritical_mechanism_st
+
+
+def exact_gen_fn(mech, v: Fraction) -> Fraction:
+    """sum_k b_k v^k in rational arithmetic on the float rates, with the
+    diagonal b1 equal to minus their exact sum."""
+    rates = {k: Fraction(r) for k, r in mech.support.items()}
+    return -sum(rates.values()) * v + sum(r * v**k for k, r in rates.items())
+
+
+def exact_min_root(mech, halvings: int = 64) -> Fraction:
+    """Smallest root of a supercritical mechanism by rational bisection: the
+    function is positive on [0, rho) and nonpositive on [rho, 1]."""
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(halvings):
+        mid = (lo + hi) / 2
+        if exact_gen_fn(mech, mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@st.composite
+def near_critical_st(draw):
+    """Birth rates on k in 2..5 and a death rate that leaves the drift a
+    fraction eps of the death rate, eps log-uniform in [1e-12, 1e-1]."""
+    ks = draw(st.lists(st.integers(2, 5), min_size=1, max_size=4, unique=True))
+    births = {k: draw(st.floats(min_value=0.05, max_value=20.0)) for k in ks}
+    eps = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-1.0))
+    death = sum((k - 1) * r for k, r in births.items()) / (1.0 + eps)
+    return validate_mechanism({0: death, **births})
 
 
 class TestEvalGenFn:
@@ -71,7 +105,7 @@ class TestRho:
 
     def test_no_convergence_reports_last_step(self):
         with pytest.raises(NoConvergence) as err:
-            rho(validate_mechanism({0: 1.0, 2: 1.00001}), max_iter=1000)
+            rho(validate_mechanism({0: 1.0, 2: 1.00001}), max_iter=3)
         step = float(re.search(r"last step ([^,]+),", str(err.value)).group(1))
         assert step > 0.0
 
@@ -116,6 +150,46 @@ class TestRho:
     @settings(max_examples=40, deadline=None)
     def test_against_bisection_oracle(self, mech):
         assert abs(rho(mech).rho - bisect_min_root(mech)) <= 1e-10
+
+
+class TestCertifiedRoot:
+    @given(near_critical_st())
+    @settings(max_examples=150, deadline=None)
+    def test_bracket_holds_the_exact_root(self, mech):
+        result = rho(mech)
+        # Drift within DRIFT_TOL pins the root to 1 by convention.
+        assume(result.criticality == SUPERCRITICAL)
+        lo, hi = result.bracket
+        assert lo <= result.rho <= hi
+        # The function is positive left of the smallest root and nonpositive
+        # from it to 1, so these signs put that root in [lo, hi].
+        assert exact_gen_fn(mech, Fraction(lo)) >= 0 >= exact_gen_fn(mech, Fraction(hi))
+        assert abs(Fraction(result.rho) - exact_min_root(mech)) <= 1e-13
+
+    @pytest.mark.parametrize("eps", [10.0**-p for p in range(2, 11)])
+    def test_near_critical_ladder(self, eps):
+        result = rho(validate_mechanism({0: 1.0, 2: 1.0 + eps}))
+        assert abs(result.rho - 1.0 / (1.0 + eps)) <= 1e-12
+        assert result.iterations <= 60
+
+    @pytest.mark.parametrize("rates", [{2: 1.0}, {3: 2.0, 5: 0.5}])
+    def test_no_death_root_is_exactly_zero(self, rates):
+        result = rho(validate_mechanism(rates))
+        assert result.rho == 0.0
+        assert result.bracket == (0.0, 0.0)
+
+    @pytest.mark.parametrize("rates", [{0: 2.0, 2: 1.0}, {0: 1.0, 2: 1.0}])
+    def test_root_one_is_exact(self, rates):
+        assert rho(validate_mechanism(rates)).bracket == (1.0, 1.0)
+
+    def test_uncertifiable_root_is_a_numerical_error(self, monkeypatch):
+        # No bracket is narrower than a few ulps, so a zero width cannot be met.
+        monkeypatch.setattr(gen_fn, "ROOT_TIE_TOL", 0.0)
+        with pytest.raises(NumericalError, match="cannot be certified"):
+            rho(validate_mechanism({0: 1.0, 2: 2.0}))
+        model = validate_cbp_model(1, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 2.0}})
+        with pytest.raises(NumericalError, match="a1"):
+            rho_star(model)
 
 
 class TestCriticality:

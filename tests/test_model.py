@@ -165,6 +165,17 @@ class TestGeneralModel:
         )
         assert model.exit_rates[(1, "a")] == 2.0
 
+    @pytest.mark.parametrize("diagonal", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("state", [1, 0], ids=["interior", "target"])
+    def test_non_finite_supplied_diagonal(self, diagonal, state):
+        # NaN compares false with the tolerance, so it must be caught on its own.
+        with pytest.raises(NonConservativeRow):
+            validate_general_model(
+                [0, 1], [0], None, {(1, "a"): {0: 1.0}, (state, "a"): {state: diagonal}}
+            )
+        with pytest.raises(NonConservativeRow):
+            validate_general_model([0, 1], [0], None, {(1, "a"): {0: 1.0, 1: diagonal}})
+
     def test_supplied_diagonal_mismatch(self):
         with pytest.raises(NonConservativeRow):
             validate_general_model([0, 1], [0], None, {(1, "a"): {0: 2.0, 1: -2.5}})
