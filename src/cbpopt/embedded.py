@@ -13,6 +13,7 @@ certificate and value iteration all go through.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -63,17 +64,36 @@ class JumpRows:
         first = np.minimum.reduceat(np.where(hit, np.arange(n_rows), n_rows), self.state_ptr)
         return best, first
 
-    def system(self, chosen: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """``(U, c)`` over the leading ``len(chosen)`` states, state s playing
-        row ``chosen[s]``; entries into later states are dropped."""
+    @cached_property
+    def _action_codes(self) -> tuple[dict, np.ndarray]:
+        """Integer code of each action id, and the code of every row."""
+        code = {a: k for k, a in enumerate(dict.fromkeys(self.actions))}
+        return code, np.fromiter(map(code.__getitem__, self.actions), np.int64, len(self.actions))
+
+    def rows_playing(self, choice: Sequence[str]) -> np.ndarray:
+        """Row of each leading state s playing ``choice[s]``, which must be
+        one of its actions."""
+        code, row_code = self._action_codes
+        k = len(choice)
+        counts = np.diff(self.state_ptr, append=len(self.actions))[:k]
+        picked = np.repeat(np.fromiter(map(code.__getitem__, choice), np.int64, k), counts)
+        return np.flatnonzero(row_code[: len(picked)] == picked)
+
+    def triplets(self, chosen: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(row, col, weight, c)`` over the leading ``len(chosen)`` states,
+        state s playing row ``chosen[s]``: U's entries as triplets and the
+        target masses c; entries into later states are dropped."""
         k = len(chosen)
         slot = np.full(len(self.actions), -1)
-        slot[np.asarray(chosen, dtype=np.int64)] = np.arange(k)
+        slot[chosen] = np.arange(k)
         at = slot[self.ent_row]
         keep = at >= 0
-        dense = np.zeros((k, self.n + 1))
-        dense[at[keep], self.ent_col[keep]] = self.ent_weight[keep]
-        return dense[:, :k], dense[:, self.n]
+        at, col, weight = at[keep], self.ent_col[keep], self.ent_weight[keep]
+        c = np.zeros(k)
+        target = col == self.n
+        c[at[target]] = weight[target]
+        inside = col < k
+        return at[inside], col[inside], weight[inside], c
 
 
 @dataclass(frozen=True)

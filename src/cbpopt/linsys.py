@@ -1,11 +1,15 @@
-"""Dense solves of (I - U) x = c for nonnegative systems.
+"""Solves of (I - U) x = c for nonnegative systems.
 
-Elimination runs only inside the lower band of the matrix, so a policy's head
-system, which is upper Hessenberg, costs O(n^2) rather than O(n^3).
+A policy's head system is upper Hessenberg with a narrow upper band, and
+:func:`solve_hessenberg` solves it from its nonzero entries in O(n q) time
+and memory, q being the upper bandwidth.  :func:`solve_unit` is the dense
+reference: the same pivoted elimination on a full matrix, run only inside
+its lower band, so O(n^2) for upper Hessenberg systems.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,3 +118,66 @@ def solve_unit(system: UnitSystem) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
     return x
+
+
+def solve_hessenberg(n: int, row, col, weight, c) -> np.ndarray:
+    """Solve (I - U) x = c for the n x n upper Hessenberg U given by its
+    entries ``U[row[e], col[e]] = weight[e]``, every other entry zero.
+
+    With one subdiagonal, partial pivoting can only swap a row with the one
+    below it, which widens the upper band by one (Golub & Van Loan, Matrix
+    Computations, section 4.3).  Each row of I - U is held as its q + 2 entries from column row - 1
+    on, q being the largest col - row, so the solve costs O(n q) and no n x n
+    array is built.  Pivots, the breakdown threshold and the elimination
+    arithmetic are those of :func:`solve_unit` on the dense system, and so is
+    every SingularSystem raised.  Back substitution sums each row's band in
+    column order, where solve_unit takes a BLAS dot product over the whole
+    row, so the two solutions can differ in the last bits.
+    """
+    if n == 0:
+        return np.zeros(0)
+    row = np.asarray(row, dtype=np.int64)
+    offset = np.asarray(col, dtype=np.int64) - row
+    if offset.min(initial=0) < -1:
+        raise ValueError("U must be upper Hessenberg")
+    q = int(offset.max(initial=0))
+    # Row n is a zero row below the last, so column n - 1 runs the same steps.
+    A = np.zeros((n + 1, q + 2))
+    A[:n, 1] = 1.0
+    A[row, offset + 1] -= weight
+    scale = float(np.abs(A).max())
+    if scale == 0.0:
+        raise SingularSystem("coefficient matrix is identically zero")
+    threshold = PIVOT_RTOL * scale
+    A = A.tolist()
+    x = np.asarray(c, dtype=float).tolist()
+    x.append(0.0)
+    # cur is the pivot row of column k over columns k..k+q+1; row k + 1 over
+    # the same columns is the only other candidate.
+    cur = A[0][1:] + [0.0]
+    done = []
+    for k in range(n):
+        below = A[k + 1]
+        if abs(below[0]) > abs(cur[0]):
+            cur, below = below, cur
+            x[k], x[k + 1] = x[k + 1], x[k]
+        if abs(cur[0]) < threshold:
+            raise SingularSystem(
+                f"pivot {abs(cur[0]):.3e} below threshold {threshold:.3e} at column {k}"
+            )
+        done.append(cur)
+        factor = below[0] / cur[0]
+        x[k + 1] -= factor * x[k]
+        cur = [b - factor * a for a, b in zip(cur, below)]
+        del cur[0]
+        cur.append(0.0)
+    later = deque(maxlen=q + 1)  # x[i + 1 : i + q + 2]
+    for i in range(n - 1, -1, -1):
+        entries = iter(done[i])
+        pivot = next(entries)
+        total = 0.0
+        for a, v in zip(entries, later):
+            total += a * v
+        x[i] = (x[i] - total) / pivot
+        later.appendleft(x[i])
+    return np.array(x[:n])

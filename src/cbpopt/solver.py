@@ -29,7 +29,7 @@ from .errors import (
     SingularSystem,
     TooManyPolicies,
 )
-from .linsys import UnitSystem, solve_unit
+from .linsys import solve_hessenberg
 from .model import CbpModel
 
 GEOMETRIC = "geometric"
@@ -199,30 +199,32 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     )
 
 
-def _policy_system(model: CbpModel, rows: JumpRows, f: Policy, no_death: frozenset):
-    """The linear system behind the policy's head values, its tail kind and i0.
+def _policy_rows(rows: JumpRows, f: Policy, no_death: frozenset):
+    """The rows behind the policy's head values, its tail kind and i0.
 
     States from the first no-death choice i0 on are exactly zero, so only the
     leading i0 - 1 states are solved; without one all m are.
     """
     i0 = next((i for i, a in enumerate(f.head, 1) if a in no_death), None)
-    size = model.m if i0 is None else i0 - 1
-    chosen = [rows.state_ptr[i] + model.admissible[i].index(f.head[i]) for i in range(size)]
-    U, c = rows.system(chosen)
-    return UnitSystem(U, c), (GEOMETRIC if i0 is None else ZERO), i0
+    size = f.m if i0 is None else i0 - 1
+    return rows.rows_playing(f.head[:size]), (GEOMETRIC if i0 is None else ZERO), i0
 
 
 def _evaluate(model, rows, f, rho_star, no_death) -> ExtinctionProfile:
-    system, kind, i0 = _policy_system(model, rows, f, no_death)
+    chosen, kind, i0 = _policy_rows(rows, f, no_death)
+    size = len(chosen)
     try:
-        x = solve_unit(system)
+        x = solve_hessenberg(size, *rows.triplets(chosen))
     except SingularSystem as exc:
         label = "geometric-tail" if kind == GEOMETRIC else "zero-tail"
         raise SingularSystem(
-            f"policy evaluation ({label} case, {system.n}-state system): {exc}"
+            f"policy evaluation ({label} case, {size}-state system): {exc}"
         ) from exc
-    residual = float(np.abs(x - system.U @ x - system.c).max()) if system.n else 0.0
-    head = [min(1.0, max(0.0, float(v))) for v in x]
+    values = np.zeros(rows.n + 1)
+    values[:size] = x
+    values[-1] = 1.0
+    residual = float(np.abs(x - rows.candidates(values)[chosen]).max()) if size else 0.0
+    head = np.clip(x, 0.0, 1.0).tolist()
     if kind == GEOMETRIC:
         return ExtinctionProfile(
             head_values=tuple(head),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import SingularSystem, UnitSystem, has_invertible_structure, solve_unit
-from cbpopt.linsys import PIVOT_RTOL
+from cbpopt.linsys import PIVOT_RTOL, solve_hessenberg
 
 
 def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -24,9 +24,13 @@ def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
     return U
 
 
-def unrestricted_solve(U: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+def unrestricted_solve(
+    U: np.ndarray, c: np.ndarray, ordered_sums: bool = False
+) -> tuple[np.ndarray, int]:
     """Pivoted elimination that searches and eliminates every row below the
-    pivot, whatever the band; returns the solution and the number of swaps."""
+    pivot, whatever the band; returns the solution and the number of swaps.
+    Back substitution takes a dot product over each row, or with
+    ``ordered_sums`` adds the row's terms one by one in column order."""
     n = len(c)
     A = np.eye(n) - U
     x = c.copy()
@@ -45,7 +49,13 @@ def unrestricted_solve(U: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
             A[col + 1 :, col:] -= np.outer(factors, A[col, col:])
             x[col + 1 :] -= factors * x[col]
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
+        if ordered_sums:
+            total = 0.0
+            for j in range(i + 1, n):
+                total += A[i, j] * x[j]
+        else:
+            total = A[i, i + 1 :] @ x[i + 1 :]
+        x[i] = (x[i] - total) / A[i, i]
     return x, swaps
 
 
@@ -194,3 +204,84 @@ class TestBandLimit:
         with pytest.raises(SingularSystem) as got:
             solve_unit(UnitSystem(U, c))
         assert singular_column(got.value) == singular_column(want.value) <= k
+
+
+def hessenberg_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
+    row, col = np.nonzero(U)
+    return solve_hessenberg(len(c), row, col, U[row, col], c)
+
+
+hessenberg_band_st = st.sampled_from([0, 1])
+
+
+class TestHessenberg:
+    @given(
+        st.integers(min_value=1, max_value=30),
+        hessenberg_band_st,
+        st.sampled_from([0.3, 1.0]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_dense_elimination_with_ordered_sums(self, n, band, density, seed):
+        # Same pivots, threshold and elimination as the dense loop; only the
+        # summation order of back substitution differs from solve_unit.
+        rng = np.random.default_rng(seed)
+        U = random_banded(rng, n, min(band, n - 1), density)
+        c = rng.uniform(0.0, 1.0, size=n)
+        try:
+            want, _ = unrestricted_solve(U, c, ordered_sums=True)
+        except SingularSystem as exc:
+            with pytest.raises(SingularSystem) as err:
+                hessenberg_solve(U, c)
+            assert singular_column(err.value) == singular_column(exc)
+        else:
+            assert hessenberg_solve(U, c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [12, 30])
+    def test_swaps(self, n):
+        rng = np.random.default_rng(n + 1)
+        U = random_banded(rng, n, 1, 1.0)
+        c = rng.uniform(0.0, 1.0, size=n)
+        want, swaps = unrestricted_solve(U, c, ordered_sums=True)
+        assert swaps > 0
+        assert hessenberg_solve(U, c).tobytes() == want.tobytes()
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_within_four_ulps_of_solve_unit(self, n, seed):
+        # Substochastic systems like the head systems: reordering the sums of
+        # back substitution moves the solution by a few ulps at most.
+        rng = np.random.default_rng(seed)
+        U = random_structured(rng, n)
+        c = rng.uniform(0.0, 1.0, size=n)
+        want = solve_unit(UnitSystem(U, c))
+        got = hessenberg_solve(U, c)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+    @given(
+        st.integers(min_value=2, max_value=30),
+        hessenberg_band_st,
+        st.data(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_singular_column_matches_solve_unit(self, n, band, data, seed):
+        rng = np.random.default_rng(seed)
+        U = random_banded(rng, n, band, 1.0)
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        U[:, k] = 0.0
+        U[k, k] = 1.0
+        c = rng.uniform(0.0, 1.0, size=n)
+        with pytest.raises(SingularSystem) as want:
+            solve_unit(UnitSystem(U, c))
+        with pytest.raises(SingularSystem) as got:
+            hessenberg_solve(U, c)
+        assert str(got.value) == str(want.value)
+        assert singular_column(got.value) <= k
+
+    def test_edge_cases(self):
+        assert hessenberg_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        with pytest.raises(SingularSystem, match="identically zero"):
+            hessenberg_solve(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match="upper Hessenberg"):
+            solve_hessenberg(3, [2], [0], [0.5], np.ones(3))

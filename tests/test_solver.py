@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from cbpopt import (
     zero_death_cutoff,
 )
 from cbpopt import gen_fn, solver
-from cbpopt.solver import _head_rows, _no_death_actions, _policy_system
+from cbpopt.solver import _head_rows, _no_death_actions, _policy_rows
 from conftest import bisect_min_root, random_cbp_model, random_mechanism_entries
 
 
@@ -77,13 +79,39 @@ class TestNoDeathDecision:
         assert zero_death_cutoff(model) == _reference_cutoff(model)
         f = Policy(head, model.tail_actions[0])
         rows = _head_rows(model, 0.5)
-        system, kind, i0 = _policy_system(model, rows, f, _no_death_actions(model))
+        chosen, kind, i0 = _policy_rows(rows, f, _no_death_actions(model))
         reference_i0 = next(
             (i for i, a in enumerate(head, 1) if model.mechanism(a).b0 == 0.0), None
         )
         assert i0 == reference_i0
         assert kind == (GEOMETRIC if i0 is None else ZERO)
-        assert system.n == (model.m if i0 is None else i0 - 1)
+        assert len(chosen) == (model.m if i0 is None else i0 - 1)
+        # State s plays its own row of the policy's action.
+        ends = np.append(rows.state_ptr[1:], len(rows.actions))
+        for s, r in enumerate(chosen):
+            assert rows.state_ptr[s] <= r < ends[s]
+            assert rows.actions[r] == head[s]
+
+
+def _reference_system(model, head, rho_value):
+    """Dense (U, c) behind a head policy's values and its i0, written out per
+    entry: the states in front of the first no-death choice i0 with landings
+    past them dropped, or without one all m states with the tail weight
+    folded into state m."""
+    m = model.m
+    i0 = next((i for i, a in enumerate(head, 1) if model.mechanism(a).b0 == 0.0), None)
+    size = m if i0 is None else i0 - 1
+    U, c = np.zeros((size, size)), np.zeros(size)
+    for i in range(1, size + 1):
+        mech = model.mechanism(head[i - 1])
+        for j, p in embedded_row(mech, i).entries.items():
+            if j == 0:
+                c[i - 1] = p
+            elif j <= size and j < m:
+                U[i - 1, j - 1] = p
+        if i0 is None:
+            U[i - 1, m - 1] = tail_weight(mech, i, m, rho_value)
+    return U, c, i0
 
 
 class TestDefaultPolicy:
@@ -151,6 +179,12 @@ class TestEvaluatePolicy:
             profile = evaluate_policy(model, Policy(combo, roots.a_star), roots.rho_star)
             assert all(0.0 <= v <= 1.0 for v in profile.head_values)
 
+    def test_subcritical_values_clamped_to_one(self):
+        # The solve rounds to 1 + 2**-52 here; extinction is certain.
+        model = validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 7.0, 2: 5.0}})
+        profile = evaluate_policy(model, Policy(("a",), "a"), 1.0)
+        assert profile.head_values == (1.0,)
+
     def test_system_rows_substochastic(self):
         # Probability systems built for evaluation admit probability solutions.
         rng = np.random.default_rng(5)
@@ -158,13 +192,14 @@ class TestEvaluatePolicy:
             model = random_cbp_model(rng, zero_death_prob=0.2)
             roots = rho_star(model)
             f = Policy(tuple(c[0] for c in model.admissible), roots.a_star)
-            rows = _head_rows(model, roots.rho_star)
-            system, _, _ = _policy_system(model, rows, f, _no_death_actions(model))
-            if system.n == 0:
+            U, c, _ = _reference_system(model, f.head, roots.rho_star)
+            if len(c) == 0:
                 continue
-            sums = system.U.sum(axis=1)
+            sums = U.sum(axis=1)
             assert np.all(sums <= 1.0 + 1e-12)
-            assert np.all(system.c <= 1.0 - sums + 1e-12)
+            assert np.all(c <= 1.0 - sums + 1e-12)
+            x = np.array(evaluate_policy(model, f, roots.rho_star).head_values[: len(c)])
+            assert np.abs(x - U @ x - c).max() <= 1e-12
 
 
 class TestImprovePolicy:
@@ -297,21 +332,24 @@ class TestSolve:
             mechs["z"] = {2: 1.0}
             admissible[no_death_at].append("z")
         model = validate_cbp_model(m, admissible, ["a0", "a1"], mechs)
-        report = solve(model, start_head={i: "a1" for i in range(1, m + 1)})
+        # Banded head solves: no m x m array (32 MB at m = 2000) is built.
+        tracemalloc.start()
+        try:
+            report = solve(model, start_head={i: "a1" for i in range(1, m + 1)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
         assert len(report.iterations) >= 2
         assert report.oe_residual <= 1e-9
         profile = report.optimal_profile
-        system, kind, i0 = _policy_system(
-            model,
-            _head_rows(model, report.rho_star),
-            report.optimal_policy,
-            _no_death_actions(model),
-        )
+        U, c, i0 = _reference_system(model, report.optimal_policy.head, report.rho_star)
+        kind = GEOMETRIC if i0 is None else ZERO
         assert kind == profile.tail_kind == (GEOMETRIC if no_death_at is None else ZERO)
-        assert i0 == no_death_at
-        direct = np.linalg.solve(np.eye(system.n) - system.U, system.c)
-        assert np.abs(np.array(profile.head_values[: system.n]) - direct).max() <= 1e-12
-        assert all(v == 0.0 for v in profile.head_values[system.n :])
+        assert i0 == profile.i0 == no_death_at
+        direct = np.linalg.solve(np.eye(len(c)) - U, c)
+        assert np.abs(np.array(profile.head_values[: len(c)]) - direct).max() <= 1e-12
+        assert all(v == 0.0 for v in profile.head_values[len(c) :])
 
 
 class TestVerifyOe:
