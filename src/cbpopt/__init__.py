@@ -2,7 +2,7 @@
 models, with a general finite-model hitting-probability path and a seeded
 Monte Carlo oracle."""
 
-from .embedded import EmbeddedRow, embedded_general, embedded_row, tail_weight
+from .embedded import EmbeddedRow, embedded_row, tail_weight
 from .errors import (
     CbpError,
     EmptyActionSet,
@@ -40,7 +40,6 @@ from .general import (
     CEMETERY,
     HittingSolution,
     cbp_truncate,
-    extract_policy,
     value_iterate,
 )
 from .linsys import UnitSystem, has_invertible_structure, solve_unit

@@ -82,9 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pop", type=_nonneg_int, default=1_000_000)
     p.add_argument("--seed", type=_nonneg_int, default=0)
 
-    p = add("general", "minimal hitting probabilities of a general rate model")
+    p = add("general", "exact minimal hitting probabilities, OE residual at most --tol")
     p.add_argument("--tol", type=_positive_float, default=general.DEFAULT_TOL)
-    p.add_argument("--max-iter", type=_positive_int, default=general.DEFAULT_MAX_ITER)
 
     p = add("brute", "enumerate every head policy")
     p.add_argument("--cap", type=_positive_int, default=solver.DEFAULT_BRUTE_CAP)
@@ -270,18 +269,18 @@ def _cmd_simulate(args):
 
 def _cmd_general(args):
     model = _require_general(load_model(args.model))
-    solution = general.value_iterate(model, tol=args.tol, max_iter=args.max_iter)
+    solution = general.value_iterate(model, tol=args.tol)
     report = {
         "values": {str(s): solution.values[s] for s in model.states},
         "policy": {str(s): solution.policy[s] for s in model.interior_states()},
         "iterations": solution.iterations,
-        "delta": solution.delta,
+        "oe_residual": solution.oe_residual,
     }
     lines = [f"{'state':<12} {'value':<22} action"]
     for s in model.states:
         action = solution.policy.get(s, "-")
         lines.append(f"{str(s):<12} {solution.values[s]:<22.17g} {action}")
-    lines.append(f"iterations = {solution.iterations}, final change = {solution.delta:.3g}")
+    lines.append(f"sweeps = {solution.iterations}, OE residual = {solution.oe_residual:.3g}")
     return report, "\n".join(lines)
 
 

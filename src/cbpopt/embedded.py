@@ -6,8 +6,8 @@ b_k / |b1|, independent of i after the shift; the self-transition is zero by
 convention.  The tail weight folds the geometric continuation of values above
 the head threshold back into the head system, closing it at finite size.
 :class:`JumpRows` holds one compiled row per (state, action) and is the one
-operator that policy evaluation, improvement, the optimality-equation
-certificate and value iteration all go through.
+operator that policy evaluation, improvement and the optimality-equation
+certificate go through, for branching and general models alike.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InadmissibleAction
-from .model import BranchingMechanism, GeneralModel, State
+from .model import BranchingMechanism
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +49,6 @@ class JumpRows:
         # bincount of no entries at all comes back as integers
         return np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
 
-    def minimum(self, x: np.ndarray) -> np.ndarray:
-        """Per-state minimum of the candidates at x."""
-        return np.minimum.reduceat(self.candidates(x), self.state_ptr)
-
     def argmin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-state minimum at x and the first (smallest-id) row attaining it."""
         cand = self.candidates(x)
@@ -78,6 +73,10 @@ class JumpRows:
         counts = np.diff(self.state_ptr, append=len(self.actions))[:k]
         picked = np.repeat(np.fromiter(map(code.__getitem__, choice), np.int64, k), counts)
         return np.flatnonzero(row_code[: len(picked)] == picked)
+
+    def played(self, chosen: np.ndarray) -> tuple[str, ...]:
+        """The action of each row in ``chosen``."""
+        return tuple(map(self.actions.__getitem__, chosen.tolist()))
 
     def triplets(self, chosen: np.ndarray) -> tuple[np.ndarray, ...]:
         """``(row, col, weight, c)`` over the leading ``len(chosen)`` states,
@@ -133,28 +132,3 @@ def tail_weight(mech: BranchingMechanism, i: int, m: int, rho_star: float) -> fl
         comp = (t - total) - y
         total = t
     return total
-
-
-def embedded_general(model: GeneralModel, policy: Mapping[State, str]) -> np.ndarray:
-    """Dense one-jump transition matrix under a fixed action per state.
-
-    Rows follow ``model.states`` order; target and cemetery states get
-    identity rows.
-    """
-    index = {s: pos for pos, s in enumerate(model.states)}
-    n = len(model.states)
-    matrix = np.zeros((n, n))
-    for s in model.states:
-        r = index[s]
-        if s in model.target or s == model.cemetery:
-            matrix[r, r] = 1.0
-            continue
-        action = policy.get(s)
-        if action is None or action not in model.actions_at(s):
-            raise InadmissibleAction(
-                f"state {s!r}: action {action!r} is not admissible", state=s
-            )
-        exit_rate = model.exit_rates[(s, action)]
-        for j, rate in model.rows[(s, action)].items():
-            matrix[r, index[j]] = rate / exit_rate
-    return matrix

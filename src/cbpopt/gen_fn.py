@@ -38,8 +38,6 @@ SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
-# Drift within this band counts as critical.
-DRIFT_TOL = 1e-12
 # Tail actions with roots this close to the minimum count as tied; no root
 # bracket may be wider.
 ROOT_TIE_TOL = 1e-9
@@ -58,7 +56,8 @@ class RhoResult:
 
     ``bracket`` is a certified pair lo <= rho <= hi holding the exact root of
     the supplied rates; it is (rho, rho) where the root is exact: 0 when
-    b0 = 0, and 1 when the drift test pins the root there.
+    b0 = 0, and 1 when the drift is certainly nonpositive or its sign is lost
+    in the rounding of the rates (critical).
     """
 
     rho: float
@@ -79,10 +78,13 @@ class RhoStarResult:
 
 
 def criticality(mech: BranchingMechanism) -> str:
-    d = mech.drift()
-    if d > DRIFT_TOL:
+    """The sign of the drift r(1), where rounding leaves it certain; critical
+    where it does not.  The test scales with the rates, so it does not depend
+    on their units."""
+    coeffs = _deflated(mech)[0]
+    if _sign_is(coeffs, 1.0, 1.0):
         return SUPERCRITICAL
-    if d < -DRIFT_TOL:
+    if _sign_is(coeffs, 1.0, -1.0):
         return SUBCRITICAL
     return CRITICAL
 
@@ -166,7 +168,8 @@ def rho(
 ) -> RhoResult:
     """Smallest nonnegative root of the generating function, with a bracket.
 
-    Mechanisms with nonpositive drift have root exactly 1 and return at once.
+    Mechanisms whose drift is not certainly positive have root exactly 1 and
+    return at once.
     Otherwise Newton's method on h = (v - 1) r starts at 0, increases
     monotonically, and stops when a step falls below ``tol``; the root is then
     certified by a bracket (NumericalError if none of width ROOT_TIE_TOL or

@@ -1,12 +1,12 @@
 """Minimal hitting probabilities for general finite rate models.
 
-Value iteration from zero converges upward to the smallest nonnegative
-solution of the optimality equation, which is the minimal hitting probability;
-the equation can have larger solutions, and starting anywhere else risks
-landing on one of those.  Branching models are bridged in by truncating the
-population to a finite window: jumps past the window are routed into the
-cemetery (value zero), so truncated values are lower bounds that grow with
-the window size.
+A graph pass first gives value exactly zero to the states from which some
+policy keeps off the target surely ("Prob0E": Forejt, Kwiatkowska, Norman &
+Parker, SFM 2011, section 4).  Every policy leaves the other states with
+positive probability, so there the optimality equation has one solution,
+which ``solve``'s policy iteration reaches exactly.  Branching models are
+truncated to a finite window, jumps past it going to the cemetery (value
+zero), so truncated values are lower bounds that grow with the window.
 """
 
 from __future__ import annotations
@@ -17,34 +17,58 @@ from typing import Mapping
 import numpy as np
 
 from .embedded import JumpRows
-from .errors import NoConvergence
+from .errors import NumericalError
+from .linsys import UnitSystem, solve_hessenberg, solve_unit
 from .model import CbpModel, GeneralModel, State, validate_general_model
-from .solver import Policy, validate_policy
+from .solver import Policy, _policy_iteration, validate_policy
 
 CEMETERY = "cemetery"
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10**7
 
 
 @dataclass(frozen=True)
 class HittingSolution:
-    """Converged values (targets at 1, cemetery at 0), the greedy policy on
-    interior states, and how the iteration stopped."""
+    """Exact values (targets at 1, cemetery at 0), an optimal action at every
+    interior state, policy-iteration sweeps and the certifying OE residual."""
 
     values: Mapping[State, float]
     policy: Mapping[State, str]
     iterations: int
-    delta: float
+    oe_residual: float
 
 
-def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows]:
-    """Interior states and their one-jump rows.
+def _avoiding(model: GeneralModel) -> dict[State, str]:
+    """Interior states from which some policy keeps off the target surely,
+    each with its smallest-id action that does.  The other states, whose every
+    action has a rate into the target or into one of them, grow from the
+    target by a worklist that reads each rate entry once."""
+    into: dict[State, list] = {}  # state -> the (state, action) rows with a rate into it
+    for key, row in model.rows.items():
+        for j in row:
+            into.setdefault(j, []).append(key)
+    left = {s: set(model.actions_at(s)) for s in model.interior_states()}
+    stack = list(model.target)
+    while stack:
+        for s, a in into.get(stack.pop(), ()):
+            if a in left.get(s, ()):
+                left[s].discard(a)
+                if not left[s]:
+                    del left[s]
+                    stack.append(s)
+    return {s: next(a for a in model.actions_at(s) if a in acts) for s, acts in left.items()}
 
-    Entries carry normalized rates into interior states, then the row's
-    target mass; cemetery mass is dropped (value zero).
+
+def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[State, str]]:
+    """Interior states that are not avoiding, their one-jump rows, and the
+    avoiding states with their actions.
+
+    Entries carry normalized rates into the kept states, then the row's
+    target mass; mass into the cemetery or an avoiding state (value zero) is
+    dropped.
     """
-    interior = model.interior_states()
+    avoiding = _avoiding(model)
+    interior = tuple(s for s in model.interior_states() if s not in avoiding)
     index = {s: pos for pos, s in enumerate(interior)}
     actions: list[str] = []
     state_ptr: list[int] = []
@@ -59,7 +83,7 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows]:
             for j, rate in model.rows[(s, a)].items():
                 if j in model.target:
                     const += rate / exit_rate
-                elif j != model.cemetery:
+                elif j in index:
                     ent_row.append(len(actions))
                     ent_col.append(index[j])
                     ent_weight.append(rate / exit_rate)
@@ -74,57 +98,47 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows]:
         ent_row=np.asarray(ent_row, dtype=np.int64),
         ent_col=np.asarray(ent_col, dtype=np.int64),
         ent_weight=np.asarray(ent_weight, dtype=float),
-    )
-
-
-def _greedy(interior, rows: JumpRows, x: np.ndarray) -> dict:
-    return {s: rows.actions[r] for s, r in zip(interior, rows.argmin(x)[1])}
+    ), avoiding
 
 
 def value_iterate(
     model: GeneralModel,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     trace: list | None = None,
 ) -> HittingSolution:
-    """Monotone value iteration from zero with Jacobi sweeps.
+    """Exact minimal hitting probabilities by policy iteration.
 
-    Stops when the sup-norm change of one sweep drops below ``tol``.
-    ``trace``, when a list is given, collects a copy of every iterate.
+    Avoiding states get exactly zero and their avoiding action; the rest
+    start from their smallest-id action and improve as in ``solve``.  The
+    values are certified by the optimality-equation residual, and one above
+    ``tol`` is a NumericalError.  ``trace``, when a list is given, collects
+    the values of every evaluated policy at the states that are not avoiding.
     """
-    interior, rows = _compile(model)
-    if not interior:
-        values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
-        return HittingSolution(values=values, policy={}, iterations=0, delta=0.0)
+    interior, rows, avoiding = _compile(model)
     n = len(interior)
-    x = np.zeros(n + 1)
-    x[n] = 1.0  # the target's value
-    inner = x[:n]  # the interior values, a view into x
-    if trace is not None:
-        trace.append(inner.copy())
-    for sweep in range(1, max_iter + 1):
-        xn = rows.minimum(x)
-        delta = float(np.max(np.abs(xn - inner)))
-        inner[:] = xn
+
+    def evaluate(chosen):
+        row, col, weight, c = rows.triplets(chosen)
+        if np.all(col >= row - 1):  # no jump moves more than one state down
+            x = solve_hessenberg(n, row, col, weight, c)
+        else:
+            U = np.zeros((n, n))
+            np.add.at(U, (row, col), weight)
+            x = solve_unit(UnitSystem(U, c))
+        x = np.append(np.clip(x, 0.0, 1.0), 1.0)
         if trace is not None:
-            trace.append(xn)
-        if delta < tol:
-            solved = dict(zip(interior, xn.tolist()))
-            values = {
-                s: solved.get(s, 1.0 if s in model.target else 0.0) for s in model.states
-            }
-            return HittingSolution(
-                values=values, policy=_greedy(interior, rows, x), iterations=sweep, delta=delta
-            )
-    raise NoConvergence(f"value iteration still moving after {max_iter} sweeps")
+            trace.append(x[:n])
+        return x, x[:n], x
 
-
-def extract_policy(model: GeneralModel, values: Mapping[State, float]) -> dict:
-    """Greedy argmin of the optimality equation at the given values,
-    smallest action id on ties."""
-    interior, rows = _compile(model)
-    x = np.asarray([values[s] for s in interior] + [1.0], dtype=float)
-    return _greedy(interior, rows, x)
+    sweeps = list(_policy_iteration(rows, rows.state_ptr, evaluate))
+    x, chosen, _ = sweeps[-1]
+    residual = float(np.abs(x[:n] - rows.argmin(x)[0]).max(initial=0.0))
+    if not residual <= tol:
+        raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds tol {tol:.3e}")
+    values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
+    values.update(zip(interior, x[:n].tolist()))
+    policy = {**avoiding, **dict(zip(interior, rows.played(chosen)))}
+    return HittingSolution(values, policy, iterations=len(sweeps), oe_residual=residual)
 
 
 def cbp_truncate(model: CbpModel, policy: Policy | None, level: int) -> GeneralModel:

@@ -15,6 +15,7 @@ policy at most once.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -261,15 +262,6 @@ def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> tuple:
     return values, held
 
 
-def _improve(model, rows, f, profile, cutoff) -> Policy:
-    values, held = _held(model, profile, cutoff)
-    best, first = rows.argmin(held)
-    head = list(f.head)
-    for i in np.flatnonzero(best[:cutoff] < values[:cutoff]):
-        head[i] = rows.actions[first[i]]
-    return Policy(head=tuple(head), tail=f.tail)
-
-
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
     """One improvement sweep; returns f unchanged at its fixed point.
 
@@ -285,25 +277,46 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     if cutoff > model.m and profile.rho_star is None:
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
-    return _improve(model, _head_rows(model, rho_star_value), f, profile, cutoff)
+    rows = _head_rows(model, rho_star_value)
+    values, held = _held(model, profile, cutoff)
+    chosen = rows.rows_playing(f.head)
+    _, improved, _ = next(_policy_iteration(rows, chosen, lambda _: (None, values[:cutoff], held)))
+    return Policy(head=rows.played(improved), tail=f.tail)
 
 
-def _policy_iteration(model, rows, rho_star_value, cutoff, no_death, f):
-    records = []
-    bound = model.head_policy_count()
+def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
+    """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
+
+    ``evaluate(chosen)`` returns a record of the policy playing rows
+    ``chosen``, the values of the leading states open to improvement and the
+    value vector ``held``.  Each such state moves to its smallest-id best row
+    at ``held`` only if that is strictly below its value, so no policy comes
+    twice.  Yields ``(record, improved rows, changed states)`` per sweep.
+    """
+    bound = math.prod(np.diff(rows.state_ptr, append=len(rows.actions)).tolist())
     for _ in range(bound):
-        profile = _evaluate(model, rows, f, rho_star_value, no_death)
-        improved = _improve(model, rows, f, profile, cutoff)
-        changed = tuple(
-            i for i in range(1, model.m + 1) if improved.head[i - 1] != f.head[i - 1]
-        )
-        records.append(IterationRecord(policy=f, profile=profile, improved_states=changed))
-        if not changed:
-            return records
-        f = improved
-    raise IterationBound(
-        f"no fixed point within the {bound} distinct head policies; this is a defect"
-    )
+        record, values, held = evaluate(chosen)
+        best, first = rows.argmin(held)
+        better = np.flatnonzero(best[: len(values)] < values)
+        improved = chosen.copy()
+        improved[better] = first[better]
+        changed = np.flatnonzero(improved != chosen)
+        yield record, improved, changed
+        if not len(changed):
+            return
+        chosen = improved
+    raise IterationBound(f"no fixed point within the {bound} distinct policies; this is a defect")
+
+
+def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
+    def evaluate(chosen):
+        g = Policy(rows.played(chosen), f.tail)
+        profile = _evaluate(model, rows, g, rho_star_value, no_death)
+        values, held = _held(model, profile, cutoff)
+        return (g, profile), values[:cutoff], held
+
+    sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
+    return [IterationRecord(*r, tuple((changed + 1).tolist())) for r, _, changed in sweeps]
 
 
 def solve(
@@ -326,7 +339,7 @@ def solve(
     roots = gen_fn.rho_star(model, tol=tol, max_iter=max_iter)
     rows = _head_rows(model, roots.rho_star)
     f = default_policy(model, roots.a_star, start_head)
-    records = _policy_iteration(model, rows, roots.rho_star, cutoff, no_death, f)
+    records = _head_iteration(model, rows, roots.rho_star, cutoff, no_death, f)
     final = records[-1]
     residual = _oe_residual(model, rows, final.profile, cutoff)
     if exhaustive_ties:
@@ -334,7 +347,7 @@ def solve(
             # The tail action enters the head only through its root.
             alt_rho = roots.per_action[alt].rho
             alt_f = default_policy(model, alt, start_head)
-            alt_final = _policy_iteration(
+            alt_final = _head_iteration(
                 model, _head_rows(model, alt_rho), alt_rho, cutoff, no_death, alt_f
             )[-1]
             for i in range(1, model.m + 1):
@@ -360,7 +373,7 @@ def solve(
 
 def _oe_residual(model, rows, profile, cutoff) -> float:
     values, held = _held(model, profile, cutoff)
-    best = rows.minimum(held)
+    best = rows.argmin(held)[0]
     best[cutoff - 1 :] = 0.0
     return float(np.abs(values - best).max())
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cbpopt import parse_model
+from cbpopt import cbp_truncate, parse_model
 from cbpopt.cli import main
 from cbpopt.modelfile import dump_json, model_to_doc
 
@@ -239,6 +239,16 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert abs(report["values"]["1"] - 0.25) < 1e-10
         assert report["policy"]["1"] == "a2"
+
+    def test_general_residual_above_tol_is_numerical(self, tmp_path, capsys):
+        truncated = cbp_truncate(parse_model(TWO_ACTION), None, 40)
+        path = tmp_path / "truncated.json"
+        path.write_text(json.dumps(model_to_doc(truncated)))
+        assert main(["general", str(path), "--json"]) == 0
+        residual = json.loads(capsys.readouterr().out)["oe_residual"]
+        assert 0.0 < residual <= 1e-12
+        assert main(["general", str(path), "--tol", f"{residual / 2!r}"]) == 2
+        assert "residual" in capsys.readouterr().err
 
     def test_general_requires_general_model(self, cbp_path):
         assert main(["general", cbp_path]) == 1

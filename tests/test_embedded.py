@@ -1,16 +1,8 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbpopt import (
-    InadmissibleAction,
-    embedded_general,
-    embedded_row,
-    tail_weight,
-    validate_general_model,
-    validate_mechanism,
-)
+from cbpopt import embedded_row, tail_weight, validate_mechanism
 from conftest import mechanism_st
 
 
@@ -78,35 +70,3 @@ class TestTailWeight:
         grid = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
         weights = [tail_weight(mech, i, m, r) for r in grid]
         assert all(b >= a - 1e-15 for a, b in zip(weights, weights[1:]))
-
-
-class TestEmbeddedGeneral:
-    @pytest.fixture
-    def chain(self):
-        return validate_general_model(
-            [0, 1, 2, "delta"],
-            [0],
-            "delta",
-            {
-                (1, "a"): {0: 1.0, 2: 2.0},
-                (1, "b"): {0: 3.0, 2: 1.0},
-                (2, "a"): {1: 2.0, "delta": 2.0},
-            },
-        )
-
-    def test_rows_stochastic_and_absorbing(self, chain):
-        matrix = embedded_general(chain, {1: "a", 2: "a"})
-        assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
-        assert matrix[0, 0] == 1.0
-        assert matrix[3, 3] == 1.0
-        assert matrix[1, 0] == pytest.approx(1 / 3)
-        assert matrix[2, 3] == pytest.approx(1 / 2)
-
-    def test_inadmissible_action(self, chain):
-        with pytest.raises(InadmissibleAction) as err:
-            embedded_general(chain, {1: "a", 2: "b"})
-        assert err.value.state == 2
-
-    def test_missing_action(self, chain):
-        with pytest.raises(InadmissibleAction):
-            embedded_general(chain, {1: "a"})

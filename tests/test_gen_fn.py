@@ -157,7 +157,7 @@ class TestCertifiedRoot:
     @settings(max_examples=150, deadline=None)
     def test_bracket_holds_the_exact_root(self, mech):
         result = rho(mech)
-        # Drift within DRIFT_TOL pins the root to 1 by convention.
+        # A drift whose sign is lost in rounding pins the root to 1.
         assume(result.criticality == SUPERCRITICAL)
         lo, hi = result.bracket
         assert lo <= result.rho <= hi
@@ -197,6 +197,18 @@ class TestCriticality:
         assert criticality(validate_mechanism({0: 1.0, 2: 2.0})) == SUPERCRITICAL
         assert criticality(validate_mechanism({0: 2.0, 2: 1.0})) == SUBCRITICAL
         assert criticality(validate_mechanism({0: 1.0, 2: 1.0})) == CRITICAL
+
+    @pytest.mark.parametrize("scale", [1e-13, 1.0])
+    def test_label_does_not_depend_on_rate_units(self, scale):
+        result = rho(validate_mechanism({0: 1.0 * scale, 2: 1.5 * scale}))
+        assert result.criticality == SUPERCRITICAL
+        assert result.rho == pytest.approx(2 / 3, abs=1e-15)
+
+    @pytest.mark.parametrize("rates", [{0: 1.0, 2: 1.0}, {0: 0.1 + 0.2, 2: 0.3}])
+    def test_drift_lost_in_rounding_is_critical(self, rates):
+        result = rho(validate_mechanism(rates))
+        assert result.criticality == CRITICAL
+        assert result.bracket == (1.0, 1.0)
 
 
 class TestRhoStar:

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbpopt import (
     CEMETERY,
+    NumericalError,
     Policy,
     cbp_truncate,
-    extract_policy,
     rho_star,
+    solve,
     validate_cbp_model,
     validate_general_model,
     value_iterate,
 )
+from cbpopt import general
+from conftest import random_cbp_model
 
 
 @pytest.fixture
@@ -47,15 +52,24 @@ class TestValueIterate:
         assert solution.values[1] == pytest.approx(0.25, abs=1e-12)
         assert solution.policy[1] == "a2"
 
-    def test_iterates_monotone_and_bounded(self, single_action_cbp):
-        truncated = cbp_truncate(single_action_cbp, None, 40)
+    def test_iterates_monotone_and_bounded(self):
+        # The smallest-id action "a" is the worse one, so policy iteration
+        # starts away from the optimum and every later policy is better.
+        model = validate_cbp_model(
+            2,
+            {1: ["a", "b"], 2: ["a", "b"]},
+            ["b"],
+            {"a": {0: 3.0, 2: 1.0}, "b": {0: 1.0, 2: 2.0}},
+        )
         trace: list[np.ndarray] = []
-        value_iterate(truncated, tol=1e-10, trace=trace)
+        solution = value_iterate(cbp_truncate(model, None, 40), trace=trace)
+        assert len(trace) == solution.iterations >= 2
         for earlier, later in zip(trace, trace[1:]):
-            assert np.all(later >= earlier - 1e-15)
+            assert np.all(later <= earlier + 1e-15)
         for x in trace:
             assert np.all(x >= 0.0)
-            assert np.all(x <= 1.0 + 1e-15)
+            assert np.all(x <= 1.0)
+        assert solution.policy[1] == solution.policy[2] == "b"
 
     def test_policy_tie_break_smallest_id(self):
         model = validate_general_model(
@@ -69,7 +83,112 @@ class TestValueIterate:
         )
         solution = value_iterate(model)
         assert solution.policy[1] == "a"
-        assert extract_policy(model, solution.values)[1] == "a"
+
+
+class TestAvoidableStates:
+    def test_swap_pair_is_exactly_zero(self):
+        # The smallest-id start swaps 1 and 2 forever: I - P is singular for
+        # that policy, and the pre-pass drops both states before any solve.
+        model = validate_general_model(
+            [0, 1, 2, 3],
+            [0],
+            None,
+            {
+                (1, "a"): {2: 1.0},
+                (1, "b"): {0: 1.0},
+                (2, "a"): {1: 1.0},
+                (2, "b"): {0: 1.0},
+                (3, "a"): {0: 1.0, 1: 1.0},
+            },
+        )
+        solution = value_iterate(model)
+        assert solution.values[1] == 0.0
+        assert solution.values[2] == 0.0
+        assert solution.values[3] == pytest.approx(0.5, abs=1e-15)
+        assert solution.policy == {1: "a", 2: "a", 3: "a"}
+
+    def test_all_interior_avoidable(self):
+        model = validate_general_model(
+            [0, 1, 2, "delta"],
+            [0],
+            "delta",
+            {(1, "a"): {2: 1.0}, (1, "b"): {0: 1.0}, (2, "a"): {"delta": 1.0}},
+        )
+        solution = value_iterate(model)
+        assert solution.values == {0: 1.0, 1: 0.0, 2: 0.0, "delta": 0.0}
+        assert solution.policy == {1: "a", 2: "a"}
+        assert solution.oe_residual == 0.0
+
+    def test_jump_two_states_down_takes_dense_path(self, monkeypatch):
+        model = validate_general_model(
+            [0, 1, 2, 3, "delta"],
+            [0],
+            "delta",
+            {
+                (1, "a"): {0: 1.0, 2: 1.0},
+                (1, "b"): {0: 1.0, 3: 3.0},
+                (2, "a"): {1: 1.0, 3: 1.0},
+                (2, "b"): {1: 1.0, "delta": 1.0},
+                (3, "a"): {1: 2.0, "delta": 1.0},
+            },
+        )
+        dense_calls = []
+        solve_unit = general.solve_unit
+        monkeypatch.setattr(
+            general, "solve_unit", lambda system: dense_calls.append(system) or solve_unit(system)
+        )
+        solution = value_iterate(model)
+        assert dense_calls
+        interior = [1, 2, 3]
+        P, c = np.zeros((3, 3)), np.zeros(3)
+        for pos, s in enumerate(interior):
+            a = solution.policy[s]
+            row = model.rows[(s, a)]
+            exit_rate = sum(row.values())
+            for j, rate in row.items():
+                if j == 0:
+                    c[pos] += rate / exit_rate
+                elif j in interior:
+                    P[pos, interior.index(j)] = rate / exit_rate
+        exact = np.linalg.solve(np.eye(3) - P, c)
+        got = np.array([solution.values[s] for s in interior])
+        assert np.abs(got - exact).max() <= 1e-12
+        assert solution.oe_residual <= 1e-12
+
+    def test_tol_below_residual_is_a_numerical_error(self):
+        truncated = cbp_truncate(
+            validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 2.0}}), None, 40
+        )
+        residual = value_iterate(truncated).oe_residual
+        assert residual > 0.0
+        with pytest.raises(NumericalError, match="residual"):
+            value_iterate(truncated, tol=residual / 2)
+
+
+@st.composite
+def _model_and_level(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = random_cbp_model(rng, max_m=5, ks=(0, 2, 3), zero_death_prob=0.3)
+    reach = max(mech.max_k for mech in model.mechanisms.values())
+    return model, model.m + reach + draw(st.integers(1, 30))
+
+
+@given(_model_and_level())
+@settings(max_examples=60, deadline=None)
+def test_truncation_cross_checks_solve(case):
+    model, level = case
+    exact = solve(model).optimal_profile
+    short = value_iterate(cbp_truncate(model, None, level))
+    wide = value_iterate(cbp_truncate(model, None, 2 * level))
+    for solution in (short, wide):
+        assert solution.oe_residual <= 1e-12
+    for i in range(1, level + 1):
+        assert short.values[i] <= exact.ep(i) + 1e-12
+        assert wide.values[i] <= exact.ep(i) + 1e-12
+        assert wide.values[i] >= short.values[i] - 1e-12
+        if exact.ep(i) == 0.0:
+            # The pre-pass finds what zero_death_cutoff finds.
+            assert short.values[i] == wide.values[i] == 0.0
 
 
 class TestCbpTruncate:
