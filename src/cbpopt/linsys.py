@@ -3,7 +3,8 @@
 A policy's head system is upper Hessenberg with a narrow upper band, and
 :func:`solve_hessenberg` solves it from its nonzero entries in O(n q) time
 and memory, q being the upper bandwidth.  :func:`solve_unit` is the dense
-reference: the same pivoted elimination on a full matrix, run only inside
+reference, and solves the general-model policies whose jumps go two or more
+states down: the same pivoted elimination on a full matrix, run only inside
 its lower band, so O(n^2) for upper Hessenberg systems.
 """
 
