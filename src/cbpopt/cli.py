@@ -58,11 +58,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         return p
 
-    p = add("rho", "per-action roots over the tail set")
-    p.add_argument("--tol", type=_positive_float, default=gen_fn.DEFAULT_ROOT_TOL)
+    add("rho", "per-action roots over the tail set")
 
     p = add("solve", "optimal policy and minimal extinction probabilities")
-    p.add_argument("--tol", type=_positive_float, default=gen_fn.DEFAULT_ROOT_TOL)
     p.add_argument("--start-policy", default="", help='head overrides, e.g. "1:a2,2:a1"')
     p.add_argument("--trace", action="store_true", help="print every iteration")
     p.add_argument(
@@ -135,7 +133,7 @@ def _profile_text(profile: solver.ExtinctionProfile) -> str:
 
 def _cmd_rho(args):
     model = _require_cbp(load_model(args.model))
-    roots = gen_fn.rho_star(model, tol=args.tol)
+    roots = gen_fn.rho_star(model)
     report = {
         "actions": [
             {
@@ -176,9 +174,7 @@ def _iteration_doc(record: solver.IterationRecord) -> dict:
 def _cmd_solve(args):
     model = _require_cbp(load_model(args.model))
     start = parse_policy_spec(args.start_policy)
-    report_obj = solver.solve(
-        model, tol=args.tol, start_head=start, exhaustive_ties=args.exhaustive_ties
-    )
+    report_obj = solver.solve(model, start_head=start, exhaustive_ties=args.exhaustive_ties)
     report = {
         "m": model.m,
         "zero_death_cutoff": report_obj.zero_death_cutoff,

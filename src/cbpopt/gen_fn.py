@@ -160,24 +160,18 @@ def _bracket(coeffs: list[float], root: float) -> tuple[float, float]:
     return (ends[0], ends[1])
 
 
-def rho(
-    mech: BranchingMechanism,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    trace: list | None = None,
-) -> RhoResult:
+def rho(mech: BranchingMechanism, trace: list | None = None) -> RhoResult:
     """Smallest nonnegative root of the generating function, with a bracket.
 
     Mechanisms whose drift is not certainly positive have root exactly 1 and
     return at once.
     Otherwise Newton's method on h = (v - 1) r starts at 0, increases
-    monotonically, and stops when a step falls below ``tol``; the root is then
-    certified by a bracket (NumericalError if none of width ROOT_TIE_TOL or
-    less can be found).  ``trace``, when a list is given, collects every
-    iterate.  ``max_iter`` below 1 is a ValueError, for every mechanism.
+    monotonically, and stops when a step falls below DEFAULT_ROOT_TOL; the
+    root is then certified by a bracket (NumericalError if none of width
+    ROOT_TIE_TOL or less can be found).  Still moving after DEFAULT_MAX_ITER
+    steps is a NoConvergence, and a defect.  ``trace``, when a list is given,
+    collects every iterate.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     crit = criticality(mech)
     if crit != SUPERCRITICAL:
         if trace is not None:
@@ -193,7 +187,7 @@ def rho(
     v = 0.0
     if trace is not None:
         trace.append(v)
-    for n in range(1, max_iter + 1):
+    for n in range(1, DEFAULT_MAX_ITER + 1):
         r, dr, _ = _horner(coeffs, v)
         # h / h' with h = (v - 1) r and h' = r + (v - 1) r'; rounding near the
         # root may turn the step negative, and the iterates stay monotone.
@@ -202,7 +196,7 @@ def rho(
             trace.append(nv)
         step = nv - v
         v = nv
-        if step < tol:
+        if step < DEFAULT_ROOT_TOL:
             r = _horner(coeffs, v)[0]
             return RhoResult(
                 rho=v,
@@ -212,16 +206,12 @@ def rho(
                 bracket=(0.0, 0.0) if mech.b0 == 0.0 else _bracket(coeffs, v),
             )
     raise NoConvergence(
-        f"root iteration still moving after {max_iter} steps (last step {step:.3e},"
-        f" tol {tol:.3e}); the mechanism is likely near-critical"
+        f"root iteration still moving after {DEFAULT_MAX_ITER} steps (last step {step:.3e},"
+        f" tol {DEFAULT_ROOT_TOL:.3e}); this is a defect"
     )
 
 
-def rho_star(
-    model: CbpModel,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RhoStarResult:
+def rho_star(model: CbpModel) -> RhoStarResult:
     """Roots for every tail action, their minimum, and the tie set.
 
     The representative action is the tied action with the smallest id.
@@ -229,7 +219,7 @@ def rho_star(
     per: dict[str, RhoResult] = {}
     for a in model.tail_actions:
         try:
-            per[a] = rho(model.mechanism(a), tol=tol, max_iter=max_iter)
+            per[a] = rho(model.mechanism(a))
         except NumericalError as exc:
             raise type(exc)(f"tail action {a!r}: {exc}") from exc
     best = min(result.rho for result in per.values())

@@ -3,12 +3,13 @@ general finite rate models.
 
 Raw inputs are sparse dictionaries.  Validation derives diagonal rates (never
 trusts them), rejects inconsistent rows, and returns immutable objects that
-the numeric modules can share freely across threads.
+the numeric modules can share freely.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
@@ -31,6 +32,18 @@ State = Hashable
 
 # Supplied diagonals must cancel the off-diagonal sum this closely.
 DIAGONAL_TOL = 1e-9
+
+
+def _rate(value) -> float | None:
+    """A real number as a float, infinite where it is too large for one; None
+    for anything else, such as a bool or a numeric string."""
+    # float and int come first: they skip the much slower ABC check.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -86,10 +99,9 @@ def validate_mechanism(raw: Mapping[int, float]) -> BranchingMechanism:
             )
         if k < 0:
             raise ValidationError(f"offspring count must be nonnegative, got {k}")
-        try:
-            rate = float(raw[k])
-        except (TypeError, ValueError):
-            raise NegativeRate(f"rate for k={k} is not a number: {raw[k]!r}", k=k) from None
+        rate = _rate(raw[k])
+        if rate is None:
+            raise NegativeRate(f"rate for k={k} is not a number: {raw[k]!r}", k=k)
         if not math.isfinite(rate) or rate < 0.0:
             raise NegativeRate(f"rate for k={k} must be finite and nonnegative, got {rate}", k=k)
         if rate > 0.0:
@@ -149,6 +161,9 @@ def validate_cbp_model(
         mechs[aid] = raw if isinstance(raw, BranchingMechanism) else validate_mechanism(raw)
 
     def clean(ids: Sequence[str], where: object) -> tuple[str, ...]:
+        for aid in ids:
+            if not isinstance(aid, str):
+                raise ValidationError(f"action ids must be strings, got {aid!r} at {where}")
         out = tuple(sorted(set(ids)))
         if not out:
             raise EmptyActionSet(f"no admissible actions at {where}", state=where)
@@ -245,14 +260,13 @@ def validate_general_model(
         for j in sorted(raw, key=lambda s: order.get(s, len(order))):
             if j not in order:
                 raise ValidationError(f"rate row ({i!r}, {a!r}) references unknown state {j!r}")
-            try:
-                rate = float(raw[j])
-            except (TypeError, ValueError):
+            rate = _rate(raw[j])
+            if rate is None:
                 raise NonConservativeRow(
                     f"rate to {j!r} in row ({i!r}, {a!r}) is not a number: {raw[j]!r}",
                     state=i,
                     action=a,
-                ) from None
+                )
             if j == i:
                 if not math.isfinite(rate):
                     raise NonConservativeRow(

@@ -105,10 +105,13 @@ def _only_keys(obj: dict, allowed: set[str], context: str) -> None:
 
 
 def _int_key(raw: str, context: str) -> int:
+    """The integer a key spells canonically, so no two keys name one integer."""
     try:
-        return int(raw)
+        if str(int(raw)) == raw:
+            return int(raw)
     except (TypeError, ValueError):
-        raise ModelFileError(f"{context}: key {raw!r} is not an integer") from None
+        pass
+    raise ModelFileError(f"{context}: key {raw!r} is not an integer in canonical form")
 
 
 def load_model(path) -> CbpModel | GeneralModel:

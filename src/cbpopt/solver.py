@@ -321,22 +321,20 @@ def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
 
 def solve(
     model: CbpModel,
-    tol: float = gen_fn.DEFAULT_ROOT_TOL,
-    max_iter: int = gen_fn.DEFAULT_MAX_ITER,
     start_head: Mapping[int, str] | None = None,
     exhaustive_ties: bool = False,
 ) -> SolveReport:
     """Optimal stationary policy and minimal extinction probabilities.
 
-    Runs root finding over the tail set, pins the smallest-id tied action as
-    the tail, iterates evaluate/improve from the smallest-id head policy (or
-    ``start_head`` overrides), and certifies the result by the optimality
-    equation residual.  ``exhaustive_ties`` re-solves with every tied tail
-    action, each under its own root, and demands matching profiles.
+    Runs certified root finding over the tail set, pins the smallest-id tied
+    action as the tail, iterates evaluate/improve from the smallest-id head
+    policy (or ``start_head`` overrides), and certifies the result by the
+    optimality equation residual.  ``exhaustive_ties`` re-solves with every
+    tied tail action, each under its own root, and demands matching profiles.
     """
     cutoff = zero_death_cutoff(model)
     no_death = _no_death_actions(model)
-    roots = gen_fn.rho_star(model, tol=tol, max_iter=max_iter)
+    roots = gen_fn.rho_star(model)
     rows = _head_rows(model, roots.rho_star)
     f = default_policy(model, roots.a_star, start_head)
     records = _head_iteration(model, rows, roots.rho_star, cutoff, no_death, f)
@@ -378,9 +376,7 @@ def _oe_residual(model, rows, profile, cutoff) -> float:
     return float(np.abs(values - best).max())
 
 
-def verify_oe(
-    model: CbpModel, profile: ExtinctionProfile, rho_star_value: float | None = None
-) -> float:
+def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
     """Sup-norm residual of the optimality equation at the given profile.
 
     Without no-death actions the equation runs over all head states with the
@@ -390,8 +386,7 @@ def verify_oe(
     states must be exactly zero at the optimum).
     """
     cutoff = zero_death_cutoff(model)
-    if rho_star_value is None:
-        rho_star_value = profile.rho_star
+    rho_star_value = profile.rho_star
     if rho_star_value is None:
         # Below a cutoff the tail column is held at zero and the ratio is moot.
         rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0

@@ -31,6 +31,23 @@ GENERAL = {
 }
 
 
+def _cbp_with(b=None, admissible=None, tail=None) -> dict:
+    """A one-action m=1 branching model file with the given fields replaced."""
+    body = {
+        "m": 1,
+        "actions": [{"id": "a", "b": b or {"0": 1.0, "2": 2.0}}],
+        "admissible": admissible or {"1": ["a"]},
+        "tail": tail or ["a"],
+    }
+    return {"kind": "cbp", "cbp": body}
+
+
+def _general_with(rates) -> dict:
+    """A general model file over states 0, 1, "d" with the given rates."""
+    body = {"states": [0, 1, "d"], "target": [0], "cemetery": "d", "rates": rates}
+    return {"kind": "general", "general": body}
+
+
 @pytest.fixture
 def cbp_path(tmp_path):
     path = tmp_path / "two_action.json"
@@ -94,35 +111,56 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "command, doc",
         [
-            (
-                "solve",
-                {
-                    "kind": "cbp",
-                    "cbp": {
-                        "m": 1,
-                        "actions": [{"id": "a", "b": {"0": 1, "2": 1e308, "3": 1e308}}],
-                        "admissible": {"1": ["a"]},
-                        "tail": ["a"],
-                    },
-                },
-            ),
-            (
-                "general",
-                {
-                    "kind": "general",
-                    "general": {
-                        "states": [0, 1, "d"],
-                        "target": [0],
-                        "cemetery": "d",
-                        "rates": {"1": {"a": {"0": 1e308, "d": 1e308}}},
-                    },
-                },
-            ),
+            ("solve", _cbp_with(b={"0": 1, "2": 1e308, "3": 1e308})),
+            ("general", _general_with(rates={"1": {"a": {"0": 1e308, "d": 1e308}}})),
+            ("solve", _cbp_with(b={"0": 1, "2": 10**400})),
+            ("general", _general_with(rates={"1": {"a": {"0": 10**400}}})),
         ],
-        ids=["cbp", "general"],
+        ids=["cbp", "general", "cbp_400_digit_rate", "general_400_digit_rate"],
     )
     def test_rate_total_overflow_is_a_model_error(self, tmp_path, capsys, command, doc):
         path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("solve", _cbp_with(b={"0": 1.0, "2": 2.0, "02": 7.0})),
+            ("solve", _cbp_with(b={"0": 1.0, " 2": 2.0})),
+            ("solve", _cbp_with(b={"0": 1.0, "1_0": 2.0})),
+            ("solve", _cbp_with(admissible={"1": ["a"], " 1": ["a"]})),
+            ("solve", _cbp_with(admissible={"01": ["a"]})),
+            ("solve", _cbp_with(b={"0": True, "2": 2.0})),
+            ("solve", _cbp_with(b={"0": 1.0, "2": "2.0"})),
+            ("general", _general_with(rates={"1": {"a": {"0": True}}})),
+            ("general", _general_with(rates={"1": {"a": {"0": "2.0"}}})),
+            ("solve", _cbp_with(tail=[1, "a"])),
+            ("solve", _cbp_with(tail=[["a"]])),
+            ("solve", _cbp_with(admissible={"1": [1, "a"]})),
+            ("solve", _cbp_with(admissible={"1": [["a"]]})),
+        ],
+        ids=[
+            "rate_keys_collide",
+            "rate_key_space",
+            "rate_key_underscore",
+            "admissible_keys_collide",
+            "admissible_key_zero_padded",
+            "cbp_bool_rate",
+            "cbp_string_rate",
+            "general_bool_rate",
+            "general_string_rate",
+            "tail_int_id",
+            "tail_list_id",
+            "admissible_int_id",
+            "admissible_list_id",
+        ],
+    )
+    def test_bad_value_is_a_model_error(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main([command, str(path), "--json"]) == 1
         captured = capsys.readouterr()
@@ -281,8 +319,13 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["tied"] == ["a1", "a3"]
 
-    def test_negative_tol_is_usage_error(self, cbp_path):
-        assert main(["solve", cbp_path, "--tol", "-1"]) == 3
+    def test_negative_tol_is_usage_error(self, general_path):
+        assert main(["general", general_path, "--tol", "-1"]) == 3
+
+    @pytest.mark.parametrize("command", ["rho", "solve"])
+    def test_root_tolerance_is_not_an_option(self, cbp_path, command):
+        # Certified roots stop at a fixed tolerance; only general takes --tol.
+        assert main([command, cbp_path, "--tol", "1e-13"]) == 3
 
     def test_thread_env_var_leaves_report_unchanged(self, cbp_path, capsys, monkeypatch):
         args = [

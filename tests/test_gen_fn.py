@@ -93,19 +93,15 @@ class TestRho:
         result = rho(validate_mechanism({0: 0.0, 2: 1.0}))
         assert result.rho == 0.0
 
-    def test_max_iter_exhausted(self):
+    def test_max_iter_exhausted(self, monkeypatch):
+        monkeypatch.setattr(gen_fn, "DEFAULT_MAX_ITER", 3)
         with pytest.raises(NoConvergence):
-            rho(validate_mechanism({0: 1.0, 2: 2.0}), tol=1e-13, max_iter=3)
+            rho(validate_mechanism({0: 1.0, 2: 2.0}))
 
-    @pytest.mark.parametrize("rates", [{0: 1.0, 2: 2.0}, {0: 2.0, 2: 1.0}])
-    def test_zero_max_iter_is_a_value_error(self, rates):
-        # Subcritical mechanisms never enter the iteration; they are rejected too.
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            rho(validate_mechanism(rates), max_iter=0)
-
-    def test_no_convergence_reports_last_step(self):
+    def test_no_convergence_reports_last_step(self, monkeypatch):
+        monkeypatch.setattr(gen_fn, "DEFAULT_MAX_ITER", 3)
         with pytest.raises(NoConvergence) as err:
-            rho(validate_mechanism({0: 1.0, 2: 1.00001}), max_iter=3)
+            rho(validate_mechanism({0: 1.0, 2: 1.00001}))
         step = float(re.search(r"last step ([^,]+),", str(err.value)).group(1))
         assert step > 0.0
 
@@ -121,9 +117,8 @@ class TestRho:
     @given(mechanism_st())
     @settings(max_examples=60, deadline=None)
     def test_residual_scaled_bound(self, mech):
-        tol = 1e-13
-        result = rho(mech, tol=tol)
-        assert result.residual <= 10.0 * tol * mech.abs_b1
+        result = rho(mech)
+        assert result.residual <= 10.0 * 1e-13 * mech.abs_b1
 
     @given(mechanism_st())
     @settings(max_examples=60, deadline=None)
@@ -237,12 +232,8 @@ class TestRhoStar:
         assert roots.tied == ("a1", "a3")
         assert roots.a_star == "a1"
 
-    def test_zero_max_iter_is_a_value_error(self):
-        model = validate_cbp_model(1, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 2.0}})
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            rho_star(model, max_iter=0)
-
-    def test_no_convergence_names_action(self):
+    def test_no_convergence_names_action(self, monkeypatch):
+        monkeypatch.setattr(gen_fn, "DEFAULT_MAX_ITER", 2)
         model = validate_cbp_model(1, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 2.0}})
         with pytest.raises(NoConvergence, match="a1"):
-            rho_star(model, max_iter=2)
+            rho_star(model)

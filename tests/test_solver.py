@@ -355,7 +355,7 @@ class TestSolve:
 class TestVerifyOe:
     def test_nonoptimal_profile_has_residual(self, two_action_model):
         profile = evaluate_policy(two_action_model, Policy(("a2",), "a1"), 0.5)
-        residual = verify_oe(two_action_model, profile, rho_star_value=0.5)
+        residual = verify_oe(two_action_model, profile)
         assert residual == pytest.approx(5 / 21, abs=1e-12)
 
     def test_optimal_profile_residual_small(self, two_action_model):
