@@ -41,6 +41,13 @@ def _nonneg_int(raw: str) -> int:
     return value
 
 
+def _seed(raw: str) -> int:
+    value = _nonneg_int(raw)
+    if value >= 2**64:
+        raise argparse.ArgumentTypeError(f"must be below 2**64, got {value}")
+    return value
+
+
 def _positive_float(raw: str) -> float:
     value = float(raw)
     if not value > 0.0:
@@ -63,11 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", "optimal policy and minimal extinction probabilities")
     p.add_argument("--start-policy", default="", help='head overrides, e.g. "1:a2,2:a1"')
     p.add_argument("--trace", action="store_true", help="print every iteration")
-    p.add_argument(
-        "--exhaustive-ties",
-        action="store_true",
-        help="re-solve under every tied tail action and compare",
-    )
 
     p = add("evaluate", "extinction probabilities of one policy")
     p.add_argument("--policy", default="", help='head assignments, e.g. "1:a2"')
@@ -78,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=10_000)
     p.add_argument("--max-jumps", type=_nonneg_int, default=1_000_000)
     p.add_argument("--max-pop", type=_nonneg_int, default=1_000_000)
-    p.add_argument("--seed", type=_nonneg_int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
     p = add("general", "exact minimal hitting probabilities, OE residual at most --tol")
     p.add_argument("--tol", type=_positive_float, default=general.DEFAULT_TOL)
@@ -174,7 +176,7 @@ def _iteration_doc(record: solver.IterationRecord) -> dict:
 def _cmd_solve(args):
     model = _require_cbp(load_model(args.model))
     start = parse_policy_spec(args.start_policy)
-    report_obj = solver.solve(model, start_head=start, exhaustive_ties=args.exhaustive_ties)
+    report_obj = solver.solve(model, start_head=start)
     report = {
         "m": model.m,
         "zero_death_cutoff": report_obj.zero_death_cutoff,

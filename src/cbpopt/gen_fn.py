@@ -38,8 +38,9 @@ SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
-# Tail actions with roots this close to the minimum count as tied; no root
-# bracket may be wider.
+# Widest certified root bracket; a root that admits no narrower one is a
+# numerical error.  Ties are decided on the brackets, so two tied roots are
+# at most twice this apart.
 ROOT_TIE_TOL = 1e-9
 
 DEFAULT_ROOT_TOL = 1e-13
@@ -69,7 +70,9 @@ class RhoResult:
 
 @dataclass(frozen=True)
 class RhoStarResult:
-    """Minimal root over the shared tail action set."""
+    """Roots over the shared tail action set, the actions that may hold the
+    minimal one (``tied``) and their representative ``a_star`` with its own
+    root ``rho_star``."""
 
     rho_star: float
     a_star: str
@@ -212,9 +215,11 @@ def rho(mech: BranchingMechanism, trace: list | None = None) -> RhoResult:
 
 
 def rho_star(model: CbpModel) -> RhoStarResult:
-    """Roots for every tail action, their minimum, and the tie set.
+    """Roots for every tail action, the tie set and its representative.
 
-    The representative action is the tied action with the smallest id.
+    An action is tied when its bracket's lower end is at most the smallest
+    upper end over the tail set, so its exact root may be the minimum.
+    ``a_star`` is the tied action with the smallest id, ``rho_star`` its root.
     """
     per: dict[str, RhoResult] = {}
     for a in model.tail_actions:
@@ -222,8 +227,8 @@ def rho_star(model: CbpModel) -> RhoStarResult:
             per[a] = rho(model.mechanism(a))
         except NumericalError as exc:
             raise type(exc)(f"tail action {a!r}: {exc}") from exc
-    best = min(result.rho for result in per.values())
-    tied = tuple(a for a in model.tail_actions if per[a].rho <= best + ROOT_TIE_TOL)
+    top = min(result.bracket[1] for result in per.values())
+    tied = tuple(a for a in model.tail_actions if per[a].bracket[0] <= top)
     return RhoStarResult(
-        rho_star=best, a_star=tied[0], tied=tied, per_action=MappingProxyType(per)
+        rho_star=per[tied[0]].rho, a_star=tied[0], tied=tied, per_action=MappingProxyType(per)
     )

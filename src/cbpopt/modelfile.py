@@ -248,8 +248,9 @@ def model_to_doc(model: CbpModel | GeneralModel) -> dict:
 def parse_policy_spec(spec: str) -> dict[int, str]:
     """Parse head overrides like ``"1:a2,2:a1"`` into a state -> action map.
 
-    Only the syntax is checked here; ``solver.default_policy`` checks the
-    states and actions against a model.
+    Only the syntax is checked here: states are canonical integers, each
+    named once.  ``solver.default_policy`` checks the states and actions
+    against a model.
     """
     overrides: dict[int, str] = {}
     if not spec:
@@ -259,8 +260,10 @@ def parse_policy_spec(spec: str) -> dict[int, str]:
         if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
             raise UsageError(f"bad policy chunk {chunk!r}; expected STATE:ACTION")
         try:
-            state = int(parts[0])
-        except ValueError:
-            raise UsageError(f"bad state {parts[0]!r} in policy spec") from None
+            state = _int_key(parts[0].strip(), "policy spec")
+        except ModelFileError as exc:
+            raise UsageError(str(exc)) from None
+        if state in overrides:
+            raise UsageError(f"state {state} is assigned twice in policy spec")
         overrides[state] = parts[1].strip()
     return overrides

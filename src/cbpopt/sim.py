@@ -74,8 +74,11 @@ def _splitmix64(z: int) -> int:
 
 
 def _derived_state(master_seed: int, t: int) -> dict:
-    """PCG64 state for trajectory t under the given master seed."""
-    base = _splitmix64(master_seed & _MASK64) ^ ((master_seed >> 64) & _MASK64)
+    """PCG64 state for trajectory t under a master seed in [0, 2**64), where
+    the derivation is one-to-one: one seed, one stream."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
+    base = _splitmix64(master_seed)
     w0 = _splitmix64(base ^ ((2 * t) & _MASK64))
     w1 = _splitmix64(base ^ ((2 * t + 1) & _MASK64))
     w2 = _splitmix64(w0 ^ w1 ^ 0xA5A5A5A5A5A5A5A5)

@@ -319,42 +319,37 @@ def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
     return [IterationRecord(*r, tuple((changed + 1).tolist())) for r, _, changed in sweeps]
 
 
-def solve(
-    model: CbpModel,
-    start_head: Mapping[int, str] | None = None,
-    exhaustive_ties: bool = False,
-) -> SolveReport:
+def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> SolveReport:
     """Optimal stationary policy and minimal extinction probabilities.
 
-    Runs certified root finding over the tail set, pins the smallest-id tied
-    action as the tail, iterates evaluate/improve from the smallest-id head
-    policy (or ``start_head`` overrides), and certifies the result by the
-    optimality equation residual.  ``exhaustive_ties`` re-solves with every
-    tied tail action, each under its own root, and demands matching profiles.
+    Runs certified root finding over the tail set, pins ``a_star`` as the
+    tail, iterates evaluate/improve from the smallest-id head policy (or
+    ``start_head`` overrides), and certifies the result by the optimality
+    equation residual.  The tail action enters the head only through its
+    root, so the iteration runs once per distinct root among the tied
+    actions; the report is ``a_star``'s, and a tied root whose head values
+    differ from it by more than 1e-8 is a NumericalError.
     """
     cutoff = zero_death_cutoff(model)
     no_death = _no_death_actions(model)
     roots = gen_fn.rho_star(model)
-    rows = _head_rows(model, roots.rho_star)
     f = default_policy(model, roots.a_star, start_head)
-    records = _head_iteration(model, rows, roots.rho_star, cutoff, no_death, f)
+    solves: dict[float, tuple] = {}
+    for a in roots.tied:
+        root = roots.per_action[a].rho
+        if root not in solves:
+            rows = _head_rows(model, root)
+            solves[root] = a, rows, _head_iteration(model, rows, root, cutoff, no_death, f)
+    _, rows, records = solves[roots.rho_star]
     final = records[-1]
-    residual = _oe_residual(model, rows, final.profile, cutoff)
-    if exhaustive_ties:
-        for alt in roots.tied[1:]:
-            # The tail action enters the head only through its root.
-            alt_rho = roots.per_action[alt].rho
-            alt_f = default_policy(model, alt, start_head)
-            alt_final = _head_iteration(
-                model, _head_rows(model, alt_rho), alt_rho, cutoff, no_death, alt_f
-            )[-1]
-            for i in range(1, model.m + 1):
-                gap = abs(alt_final.profile.ep(i) - final.profile.ep(i))
-                if gap > _TIE_PROFILE_TOL:
-                    raise NumericalError(
-                        f"tied tail actions {roots.a_star!r} and {alt!r} disagree at"
-                        f" state {i} by {gap:.3e}"
-                    )
+    for a, _, alt in solves.values():
+        gaps = np.abs(np.subtract(alt[-1].profile.head_values, final.profile.head_values))
+        bad = np.flatnonzero(gaps > _TIE_PROFILE_TOL)
+        if len(bad):
+            raise NumericalError(
+                f"tied tail actions {roots.a_star!r} and {a!r} disagree at"
+                f" state {bad[0] + 1} by {gaps[bad[0]]:.3e}"
+            )
     dont_care = tuple(range(cutoff + 1, model.m + 1))
     return SolveReport(
         optimal_policy=final.policy,
@@ -364,7 +359,7 @@ def solve(
         a_star=roots.a_star,
         tied=roots.tied,
         iterations=tuple(records),
-        oe_residual=residual,
+        oe_residual=_oe_residual(model, rows, final.profile, cutoff),
         dont_care_states=dont_care,
     )
 

@@ -245,6 +245,40 @@ class TestCommands:
     def test_malformed_policy_spec(self, cbp_path):
         assert main(["evaluate", cbp_path, "--policy", "nonsense"]) == 3
 
+    @pytest.mark.parametrize(
+        "command, option",
+        [("evaluate", "--policy"), ("simulate", "--policy"), ("solve", "--start-policy")],
+        ids=["evaluate", "simulate", "solve"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        ["1:a2,1:a1", "1:a2,01:a1", "+1:a2", "1_0:a2", "01:a2"],
+        ids=["repeated", "repeated_padded", "plus_sign", "underscored", "zero_padded"],
+    )
+    def test_repeated_or_noncanonical_state_is_usage_error(
+        self, cbp_path, capsys, command, option, spec
+    ):
+        # Small runs, so that a spec wrongly accepted fails fast.
+        small = ["--n", "10", "--max-pop", "50"] if command == "simulate" else []
+        assert main([command, cbp_path, option, spec, "--json", *small]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_policy_state_may_be_padded_with_spaces(self, cbp_path, capsys):
+        assert main(["evaluate", cbp_path, "--policy", " 1 : a2 ", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["policy"]["head"] == {"1": "a2"}
+
+    @pytest.mark.parametrize("seed", [2**64, 2**128], ids=["2**64", "2**128"])
+    def test_seed_above_64_bits_is_usage_error(self, cbp_path, capsys, seed):
+        # Only below 2**64 does each seed get a stream of its own.
+        assert main(["simulate", cbp_path, "--n", "10", "--seed", str(seed), "--json"]) == 3
+        assert capsys.readouterr().out == ""
+
+    def test_largest_seed_runs(self, cbp_path, capsys):
+        args = ["simulate", cbp_path, "--n", "10", "--max-pop", "50", "--json"]
+        assert main(args + ["--seed", str(2**64 - 1)]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 2**64 - 1
+
     def test_simulate_zero_n_is_usage_error(self, cbp_path):
         assert main(["simulate", cbp_path, "--n", "0"]) == 3
 
@@ -310,12 +344,13 @@ class TestCommands:
         assert "optimal head" in out
 
     def test_exhaustive_ties_flag(self, tmp_path, capsys):
+        # Tied tail actions are always cross-checked, with no flag.
         doc = json.loads(json.dumps(TWO_ACTION))
         doc["cbp"]["actions"].append({"id": "a3", "b": {"0": 2.0, "2": 4.0}})
         doc["cbp"]["tail"] = ["a1", "a3"]
         path = tmp_path / "tied.json"
         path.write_text(json.dumps(doc))
-        assert main(["solve", str(path), "--exhaustive-ties", "--json"]) == 0
+        assert main(["solve", str(path), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["tied"] == ["a1", "a3"]
 
@@ -326,6 +361,10 @@ class TestCommands:
     def test_root_tolerance_is_not_an_option(self, cbp_path, command):
         # Certified roots stop at a fixed tolerance; only general takes --tol.
         assert main([command, cbp_path, "--tol", "1e-13"]) == 3
+
+    def test_exhaustive_ties_is_not_an_option(self, cbp_path):
+        # solve always cross-checks tied tail actions.
+        assert main(["solve", cbp_path, "--exhaustive-ties"]) == 3
 
     def test_thread_env_var_leaves_report_unchanged(self, cbp_path, capsys, monkeypatch):
         args = [

@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -231,6 +232,38 @@ class TestRhoStar:
         roots = rho_star(model)
         assert roots.tied == ("a1", "a3")
         assert roots.a_star == "a1"
+
+    @pytest.mark.parametrize("smaller, larger", [("a1", "a2"), ("a2", "a1")])
+    def test_disjoint_brackets_are_not_tied(self, smaller, larger):
+        # Roots 5e-10 apart: within 1e-9 of each other, but their certified
+        # brackets are disjoint, so only the smaller one can be the minimum.
+        c = 1 + 1e-4
+        model = validate_cbp_model(
+            1,
+            {1: [smaller]},
+            ["a1", "a2"],
+            {smaller: {0: 1.0, 2: c}, larger: {0: 1.0, 2: c - 5e-10 * c**2}},
+        )
+        roots = rho_star(model)
+        assert roots.per_action[smaller].bracket[1] < roots.per_action[larger].bracket[0]
+        assert roots.tied == (smaller,)
+        assert roots.a_star == smaller
+        assert roots.rho_star == roots.per_action[smaller].rho
+
+    def test_overlapping_brackets_tie_and_a_star_keeps_its_root(self):
+        # a2's root is a few ulps below a1's, inside a1's bracket: both may be
+        # the minimum, and a1, the smaller id, is reported with its own root.
+        model = validate_cbp_model(
+            1,
+            {1: ["a1"]},
+            ["a1", "a2"],
+            {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 1.0, 2: 2.0 + 4 * math.ulp(2.0)}},
+        )
+        roots = rho_star(model)
+        assert roots.per_action["a2"].rho < roots.per_action["a1"].rho
+        assert roots.tied == ("a1", "a2")
+        assert roots.a_star == "a1"
+        assert roots.rho_star == roots.per_action["a1"].rho
 
     def test_no_convergence_names_action(self, monkeypatch):
         monkeypatch.setattr(gen_fn, "DEFAULT_MAX_ITER", 2)

@@ -16,6 +16,7 @@ from cbpopt import (
     trajectory_rng,
     wilson_interval,
 )
+from cbpopt.sim import _splitmix64
 
 CAPS = SimCaps(max_jumps=20_000, max_pop=300)
 
@@ -113,6 +114,22 @@ class TestEstimateEp:
     def test_rejects_zero_trajectories(self, two_action_model):
         with pytest.raises(ValueError):
             estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, 0, CAPS, master_seed=0)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [-1, 2**64, 2**128, 1 + ((_splitmix64(1) ^ _splitmix64(0)) << 64)],
+        ids=["negative", "2**64", "2**128", "127_bit_alias_of_0"],
+    )
+    def test_seed_outside_64_bits_is_a_value_error(self, two_action_model, seed):
+        # Below 2**64 the seed derivation is one-to-one; outside it seeds
+        # would share streams (2**128 and the 127-bit case with seed 0).
+        with pytest.raises(ValueError, match="master seed"):
+            estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, 10, CAPS, master_seed=seed)
+        with pytest.raises(ValueError, match="master seed"):
+            trajectory_rng(seed, 0)
+
+    def test_top_64_bit_seed_has_its_own_stream(self):
+        assert trajectory_rng(2**64 - 1, 0).random() != trajectory_rng(0, 0).random()
 
     def test_forced_bad_tail_dominates(self):
         # Playing the larger-root action in the tail cannot lower extinction

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from cbpopt import (
     verify_oe,
     zero_death_cutoff,
 )
-from cbpopt import gen_fn, solver
+from cbpopt import solver
 from cbpopt.solver import _head_rows, _no_death_actions, _policy_rows
 from conftest import bisect_min_root, random_cbp_model, random_mechanism_entries
 
@@ -278,7 +279,8 @@ class TestSolve:
             solve(two_action_model, start_head={4: "a1"})
         assert err.value.state == 4
 
-    def test_exhaustive_ties(self):
+    def test_exhaustive_ties(self, monkeypatch):
+        # a1 and a3 have the same root 0.5, so one solve serves both.
         model = validate_cbp_model(
             1,
             {1: ["a1", "a2"]},
@@ -289,23 +291,70 @@ class TestSolve:
                 "a3": {0: 2.0, 2: 4.0},
             },
         )
-        report = solve(model, exhaustive_ties=True)
+        built = []
+
+        def head_rows(model, root):
+            built.append(root)
+            return _head_rows(model, root)
+
+        monkeypatch.setattr(solver, "_head_rows", head_rows)
+        report = solve(model)
         assert report.tied == ("a1", "a3")
+        assert built == [0.5]
         assert report.optimal_profile.ep(1) == pytest.approx(0.5, abs=1e-10)
 
     def test_exhaustive_ties_compares_each_root(self, monkeypatch):
-        # Roots 0.5 and 0.501 tie under the loosened tolerance; head values
-        # solved under each root differ by about 5e-4.
-        monkeypatch.setattr(gen_fn, "ROOT_TIE_TOL", 1e-2)
+        # Four ulps more on a2's birth rate move its root below a1's, inside
+        # a1's bracket; head values solved under each root then differ in
+        # the last bits, which a zero tolerance catches.
         model = validate_cbp_model(
             1,
             {1: ["a1"]},
             ["a1", "a2"],
-            {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 1.002, 2: 2.0}},
+            {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 1.0, 2: 2.0 + 4 * math.ulp(2.0)}},
         )
+        roots = rho_star(model)
+        a1, a2 = roots.per_action["a1"], roots.per_action["a2"]
+        assert a2.rho < a1.rho and a1.bracket[0] <= a2.bracket[1]
         assert solve(model).tied == ("a1", "a2")
+        monkeypatch.setattr(solver, "_TIE_PROFILE_TOL", 0.0)
         with pytest.raises(NumericalError, match="disagree at state 1"):
-            solve(model, exhaustive_ties=True)
+            solve(model)
+
+    @staticmethod
+    def _near_tie_model(smaller_root: str, larger_root: str):
+        # Roots 1/c and 1/(c - eta), 5e-10 apart with brackets about 5e-15
+        # wide; every head state plays the smaller-root mechanism.
+        c = 1 + 1e-4
+        eta = 5e-10 * c**2
+        m = 40
+        return validate_cbp_model(
+            m,
+            {i: [smaller_root] for i in range(1, m + 1)},
+            [smaller_root, larger_root],
+            {smaller_root: {0: 1.0, 2: c}, larger_root: {0: 1.0, 2: c - eta}},
+        )
+
+    def test_disjoint_brackets_are_not_tied(self):
+        # The roots lie within 1e-9 of each other, and their head values
+        # differ by about 1e-8; only the brackets tell the roots apart.
+        model = self._near_tie_model("a1", "a2")
+        assert rho_star(model).tied == ("a1",)
+        report = solve(model)
+        assert report.tied == ("a1",)
+        assert report.oe_residual <= 1e-12
+
+    def test_profile_is_the_reported_policys_value(self):
+        # The larger root has the smaller id; a_star is the other action and
+        # the profile is solved under a_star's own root.
+        model = self._near_tie_model("a2", "a1")
+        report = solve(model)
+        assert report.a_star == "a2"
+        assert report.rho_star == rho_star(model).per_action["a2"].rho
+        own = evaluate_policy(
+            model, report.optimal_policy, rho_star(model).per_action[report.a_star].rho
+        )
+        assert report.optimal_profile == own
 
     def test_monotone_improvement_and_termination(self):
         rng = np.random.default_rng(42)
