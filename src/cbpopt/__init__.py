@@ -61,7 +61,6 @@ from .sim import (
     SimOutcome,
     estimate_ep,
     simulate_trajectory,
-    trajectory_rng,
     wilson_interval,
 )
 from .solver import (

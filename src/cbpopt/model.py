@@ -257,9 +257,10 @@ def validate_general_model(
         raw = raw_rows[(i, a)]
         offdiag: dict[State, float] = {}
         diagonal = None
-        for j in sorted(raw, key=lambda s: order.get(s, len(order))):
+        for j in raw:
             if j not in order:
                 raise ValidationError(f"rate row ({i!r}, {a!r}) references unknown state {j!r}")
+        for j in sorted(raw, key=order.__getitem__):
             rate = _rate(raw[j])
             if rate is None:
                 raise NonConservativeRow(

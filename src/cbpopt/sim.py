@@ -1,42 +1,67 @@
-"""Seeded Monte Carlo over the embedded jump chain.
+"""Seeded Monte Carlo over the embedded jump chain, run in lock-step cohorts.
 
 Extinction in finite time happens exactly when the jump chain reaches zero,
 so holding times are never drawn.  Above the head threshold the policy plays
-one fixed action, which makes the walk an i.i.d.-increment random walk there;
-those stretches are sampled in blocks that grow while an excursion lasts.
-Draw consumption depends only on the path itself, never on the caps (full
-blocks are always consumed and the cap comparison happens afterwards), so on
-a fixed seed a trajectory under looser caps extends the one under tighter
-caps instead of resampling it.
+one fixed action, which makes the walk an i.i.d.-increment random walk there.
 
-Trajectory t of an estimate runs on its own generator, with state derived
-from (master_seed, t) by a fixed 64-bit mixing function: counter-based
-seeding, so each trajectory is reproducible on its own, whatever order the
-trajectories run in.  The same generator is available from
-:func:`trajectory_rng`.
+Draws are counter-based (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC11).  Draw j of trajectory t is the SplitMix64 output
+``mix(key_t + (j + 1)·γ)`` taken to 53 bits, where ``key_t`` is a one-to-one
+mix of (master_seed, t), and jump j + 1 of a trajectory always consumes its
+draw j, in the head and in the tail alike.  So a trajectory's outcome is a
+function of (model, policy, start, caps, master_seed, t) alone: it does not
+depend on how many trajectories run, in what order or in what batches, and
+under looser caps a trajectory extends the one under tighter caps instead of
+resampling it.
+
+The trajectories of an estimate run in cohorts of at most ``_COHORT``, and
+all live trajectories of a cohort advance together.  In each step every
+trajectory in the head takes one jump from its state's inverse-CDF table,
+and every trajectory in the tail takes a block of jumps at once, ending at
+its first exit from (m, max_pop] or at its jump budget.  Each trajectory's
+preferred width doubles with every block it stays in the tail for, and a
+step's block width is the mean over the tail rows, so short excursions
+waste few draws and long ones take few steps.  One step holds at most
+``_BLOCK_ENTRIES`` draws, so memory does not grow with n.  None of these
+sizes changes a result.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .model import BranchingMechanism, CbpModel
+from .model import CbpModel
 from .solver import Policy, validate_policy
 
 EXTINCT = "extinct"
 CENSORED_POPULATION = "censored_population"
 CENSORED_JUMPS = "censored_jumps"
+_RESULTS = (EXTINCT, CENSORED_POPULATION, CENSORED_JUMPS)
+_LIVE = -1
 
-_FIRST_BLOCK = 64
-_BLOCK_GROWTH = 4
-_MAX_BLOCK = 1024
+_COHORT = 1 << 14
+_BLOCK_ENTRIES = 1 << 16
+_FIRST_BLOCK = 16
+_BLOCK_GROWTH = 2
+_MAX_BLOCK = 4096
 _Z95 = 1.959963984540054
 
 _MASK64 = (1 << 64) - 1
+# Caps beyond this are never reached; clamping them, and a start state past
+# the clamped population cap, keeps every state, jump count and cap
+# comparison inside int64.
+_CAP_LIMIT = 1 << 62
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_STEPS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+    (np.uint64(31), None),
+)
 
 
 @dataclass(frozen=True)
@@ -66,123 +91,207 @@ class EpEstimate:
     censored: int
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array (a bijection
+    of 64-bit words); ``scratch`` is a uint64 array of the same shape."""
+    for shift, mul in _MIX_STEPS:
+        np.right_shift(z, shift, out=scratch)
+        np.bitwise_xor(z, scratch, out=z)
+        if mul is not None:
+            np.multiply(z, mul, out=z)
+    return z
 
 
-def _derived_state(master_seed: int, t: int) -> dict:
-    """PCG64 state for trajectory t under a master seed in [0, 2**64), where
-    the derivation is one-to-one: one seed, one stream."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master seed must lie in [0, 2**64), got {master_seed}")
-    base = _splitmix64(master_seed)
-    w0 = _splitmix64(base ^ ((2 * t) & _MASK64))
-    w1 = _splitmix64(base ^ ((2 * t + 1) & _MASK64))
-    w2 = _splitmix64(w0 ^ w1 ^ 0xA5A5A5A5A5A5A5A5)
-    w3 = _splitmix64(w2)
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": (w0 << 64) | w1, "inc": ((w2 << 64) | w3) | 1},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _keys(master_seed: int, first: int, count: int) -> np.ndarray:
+    """``key_t`` for t in [first, first + count): mix((mix(seed + γ) ^ t) + γ),
+    one-to-one in the seed for each t and in t for each seed."""
+    base = np.array([master_seed], dtype=np.uint64) + _GAMMA
+    _splitmix64(base, np.empty_like(base))
+    keys = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    keys ^= base
+    keys += _GAMMA
+    return _splitmix64(keys, np.empty_like(keys))
 
 
-def trajectory_rng(master_seed: int, t: int) -> np.random.Generator:
-    """The generator that trajectory t of an estimate runs on."""
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = _derived_state(master_seed, t)
-    return np.random.Generator(bit_gen)
+def _checked_index(value, what: str) -> int:
+    value = operator.index(value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{what} must lie in [0, 2**64), got {value}")
+    return value
 
 
-class _Sampler:
-    """Inverse-CDF tables for one action's jump increments."""
+def _tables(model: CbpModel, f: Policy) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF tables: row i - 1 for head state i, row m for the tail.
 
-    __slots__ = ("increments", "cum", "increment_list", "cum_list", "pair")
-
-    def __init__(self, mech: BranchingMechanism):
-        pmf = mech.offspring_pmf()
+    A cumulative probability c becomes the 64-bit bound
+    ``ceil(c·2**53)·2**11 - 1``, so the number of bounds below a draw z is
+    exactly the number of c at most ``(z >> 11)·2**-53``, and the jump is the
+    increment at that position.  The last bound of a row, and the padding of
+    rows with fewer atoms, is 2**64 - 1, which no draw exceeds.
+    """
+    rows = {}
+    for a in set(f.head) | {f.tail}:
+        pmf = model.mechanism(a).offspring_pmf()
         ks = sorted(pmf)
-        self.increments = np.asarray(ks, dtype=np.int64) - 1
-        cum = np.cumsum(np.asarray([pmf[k] for k in ks], dtype=float))
+        cum = np.cumsum([pmf[k] for k in ks])
         cum[-1] = 1.0
-        self.cum = cum
-        self.increment_list = [k - 1 for k in ks]
-        self.cum_list = cum.tolist()
-        # Two-atom supports are the common case; sample them by one compare.
-        self.pair = (cum[0], ks[0] - 1, ks[1] - 1) if len(ks) == 2 else None
-
-    def block(self, u: np.ndarray) -> np.ndarray:
-        if self.pair is not None:
-            split, low, high = self.pair
-            return np.where(u < split, low, high)
-        return self.increments[self.cum.searchsorted(u, side="right")]
-
-
-def _samplers(model: CbpModel, f: Policy) -> dict[str, _Sampler]:
-    return {a: _Sampler(model.mechanism(a)) for a in set(f.head) | {f.tail}}
+        rows[a] = [(math.ceil(c * 2.0**53) << 11) - 1 for c in cum], [k - 1 for k in ks]
+    actions = (*f.head, f.tail)
+    atoms = max(len(steps) for _, steps in rows.values())
+    bounds = np.full((len(actions), atoms), _MASK64, dtype=np.uint64)
+    steps = np.zeros((len(actions), atoms), dtype=np.int64)
+    for i, a in enumerate(actions):
+        row_bounds, row_steps = rows[a]
+        bounds[i, : len(row_bounds)] = row_bounds
+        steps[i, : len(row_steps)] = row_steps
+    return bounds, steps
 
 
-def _run(samplers, m, f, i0, caps, rng) -> SimOutcome:
-    state = i0
-    jumps = 0
-    peak = i0
-    block = _FIRST_BLOCK
-    max_jumps = caps.max_jumps
-    max_pop = caps.max_pop
+def _advance(
+    bounds: np.ndarray, steps: np.ndarray, i0: int, caps: SimCaps, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run the trajectories with these keys to their ends, all together.
+
+    Returns each trajectory's result code (an index into ``_RESULTS``), jump
+    count and peak population.
+    """
+    count = len(keys)
+    m = len(bounds) - 1
+    # A tail jump is the first increment plus, for each bound below its draw,
+    # the rise to the next one: the same increment as the table lookup.
+    tail_rises = [(b, r) for b, r in zip(bounds[m], np.diff(steps[m])) if b < _MASK64]
+    max_pop = min(caps.max_pop, _CAP_LIMIT)
+    max_jumps = min(caps.max_jumps, _CAP_LIMIT)
+    span = max_pop - m - 1  # a tail state s is inside (m, max_pop] iff 0 <= s - m - 1 <= span
+
+    result = np.empty(count, dtype=np.int8)
+    jumps_at_end = np.empty(count, dtype=np.int64)
+    peak_at_end = np.empty(count, dtype=np.int64)
+
+    # Block buffers, reused by every step; a step of L rows and width w uses
+    # their first L·w entries, as a (w, L) array with one column per row.
+    size = min(max(count, _BLOCK_ENTRIES), count * _MAX_BLOCK)
+    draws = np.empty(size, dtype=np.uint64)
+    scratch = np.empty(size, dtype=np.uint64)
+    below = np.empty(size, dtype=bool)
+    path = np.empty(size, dtype=np.int64)
+    lags = np.arange(_MAX_BLOCK)
+    counters = (lags + 1).astype(np.uint64) * _GAMMA
+    columns = np.arange(count)
+
+    ids = np.arange(count)
+    state = np.full(count, min(i0, max_pop + 1), dtype=np.int64)
+    jumps = np.zeros(count, dtype=np.int64)
+    peak = state.copy()
+    width = np.full(count, _FIRST_BLOCK, dtype=np.int64)
     while True:
-        if state == 0:
-            return SimOutcome(result=EXTINCT, jumps=jumps, peak_population=peak)
-        if state > max_pop:
-            return SimOutcome(result=CENSORED_POPULATION, jumps=jumps, peak_population=peak)
-        if jumps >= max_jumps:
-            return SimOutcome(result=CENSORED_JUMPS, jumps=jumps, peak_population=peak)
-        if state <= m:
-            block = _FIRST_BLOCK
-            sampler = samplers[f.head[state - 1]]
-            state += sampler.increment_list[bisect_right(sampler.cum_list, rng.random())]
-            jumps += 1
-            if state > peak:
-                peak = state
-        else:
-            sampler = samplers[f.tail]
-            path = state + sampler.block(rng.random(block)).cumsum()
-            budget = max_jumps - jumps
-            view = path if budget >= block else path[:budget]
-            vmin = int(view.min())
-            vmax = int(view.max())
-            if vmin > m and vmax <= max_pop:
-                take = len(view)
-                state = int(view[-1])
-            else:
-                stop = (view <= m) | (view > max_pop)
-                take = int(stop.argmax()) + 1
-                vmax = int(path[:take].max())
-                state = int(path[take - 1])
-            if vmax > peak:
-                peak = vmax
-            jumps += take
-            if block < _MAX_BLOCK:
-                block *= _BLOCK_GROWTH
+        # Result codes index _RESULTS, checked in its order.
+        code = np.where(
+            state == 0,
+            0,
+            np.where(state > max_pop, 1, np.where(jumps >= max_jumps, 2, _LIVE)),
+        )
+        done = code != _LIVE
+        if done.any():
+            where = ids[done]
+            result[where] = code[done]
+            jumps_at_end[where] = jumps[done]
+            peak_at_end[where] = peak[done]
+            live = ~done
+            ids, keys, state, jumps, peak, width = (
+                a[live] for a in (ids, keys, state, jumps, peak, width)
+            )
+            if not ids.size:
+                return result, jumps_at_end, peak_at_end
+
+        head = np.flatnonzero(state <= m)
+        if head.size:
+            s = state[head]
+            z = keys[head] + (jumps[head].astype(np.uint64) + np.uint64(1)) * _GAMMA
+            _splitmix64(z, np.empty_like(z))
+            picked = (z[:, None] > bounds[s - 1]).sum(axis=1)
+            s += steps[s - 1, picked]
+            state[head] = s
+            jumps[head] += 1
+            peak[head] = np.maximum(peak[head], s)
+            width[head] = _FIRST_BLOCK
+
+        tail = np.flatnonzero((state > m) & (state <= max_pop) & (jumps < max_jumps))
+        if not tail.size:
+            continue
+        n_rows = tail.size
+        w = int(min(width[tail].mean(), _MAX_BLOCK, max(1, _BLOCK_ENTRIES // n_rows)))
+        entries = n_rows * w
+        z = draws[:entries].reshape(w, n_rows)
+        tail_jumps = jumps[tail]
+        np.add(counters[:w, None], keys[tail] + tail_jumps.astype(np.uint64) * _GAMMA, out=z)
+        spare = scratch[:entries].reshape(w, n_rows)
+        _splitmix64(z, spare)
+        hit = below[:entries].reshape(w, n_rows)
+        walk = path[:entries].reshape(w, n_rows)
+        walk.fill(steps[m, 0])
+        rise = spare.view(np.int64)
+        for bound, up in tail_rises:
+            np.greater(z, bound, out=hit)
+            np.multiply(hit, up, out=rise)
+            walk += rise
+        # Walk relative to m + 1: a step is inside (m, max_pop] iff its
+        # value, read as unsigned, is at most span.
+        walk[0] += state[tail] - (m + 1)
+        np.cumsum(walk, axis=0, out=walk)
+        high = walk.view(np.uint64).max(axis=0)
+        taken = np.minimum(max_jumps - tail_jumps, w)
+        if (high > span).any() or (taken < w).any():
+            # Some rows stop inside the block: at their first step out of
+            # (m, max_pop] or at the last step of their jump budget.
+            np.greater(walk.view(np.uint64), span, out=hit)
+            first_out = hit.argmax(axis=0)
+            exited = hit[first_out, columns[:n_rows]]
+            taken[exited] = np.minimum(taken[exited], first_out[exited] + 1)
+            # The peak over the steps taken: later steps count as 0, the
+            # block's start, which the peak already covers.
+            np.less(lags[:w, None], taken, out=hit)
+            np.multiply(walk, hit, out=walk)
+            high = walk.max(axis=0)
+        state[tail] = walk[taken - 1, columns[:n_rows]] + (m + 1)
+        jumps[tail] += taken
+        peak[tail] = np.maximum(peak[tail], high.astype(np.int64) + (m + 1))
+        grown = np.minimum(width[tail] * _BLOCK_GROWTH, _MAX_BLOCK)
+        width[tail] = np.where(taken == w, grown, width[tail])
+
+
+def _outcomes(
+    model: CbpModel, f: Policy, i0: int, caps: SimCaps, master_seed, first: int, count: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Check the inputs, then iterate over ``_advance``'s arrays for
+    trajectories first .. first + count - 1, one cohort at a time."""
+    master_seed = _checked_index(master_seed, "master seed")
+    validate_policy(model, f)
+    if operator.index(i0) < 1:
+        raise ValueError("the start state must be at least 1")
+    bounds, steps = _tables(model, f)
+    return (
+        _advance(bounds, steps, i0, caps, _keys(master_seed, t, min(_COHORT, first + count - t)))
+        for t in range(first, first + count, _COHORT)
+    )
 
 
 def simulate_trajectory(
-    model: CbpModel, f: Policy, i0: int, caps: SimCaps, seed
+    model: CbpModel, f: Policy, i0: int, caps: SimCaps, master_seed: int, t: int = 0
 ) -> SimOutcome:
-    """One trajectory of the embedded chain; deterministic given the seed.
+    """Trajectory t of the estimates under ``master_seed``, run alone.
 
-    ``seed`` is anything ``numpy.random.default_rng`` accepts, including a
-    ready generator such as :func:`trajectory_rng` returns.  Checks run in the
-    order extinct, population cap, jump cap, so reaching zero exactly at the
-    jump budget still counts as extinct.
+    The outcome is exactly the one trajectory t has inside
+    :func:`estimate_ep`, whatever n is.  Checks run in the order extinct,
+    population cap, jump cap, so reaching zero exactly at the jump budget
+    still counts as extinct.
     """
-    validate_policy(model, f)
-    if i0 < 1:
-        raise ValueError("the start state must be at least 1")
-    return _run(_samplers(model, f), model.m, f, i0, caps, np.random.default_rng(seed))
+    t = _checked_index(t, "trajectory index")
+    ((result, jumps, peak),) = _outcomes(model, f, i0, caps, master_seed, t, 1)
+    # max with i0: a start past the population cap is clamped in the engine.
+    return SimOutcome(
+        result=_RESULTS[result[0]], jumps=int(jumps[0]), peak_population=max(i0, int(peak[0]))
+    )
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -208,24 +317,16 @@ def estimate_ep(
     caps: SimCaps,
     master_seed: int,
 ) -> EpEstimate:
-    """Extinction probability estimate from n independent trajectories.
+    """Extinction probability estimate from trajectories 0 .. n - 1.
 
-    Trajectory t runs on ``trajectory_rng(master_seed, t)``; one generator is
-    reseeded per trajectory, so the result does not depend on execution order.
+    The count is exactly that of ``simulate_trajectory(..., master_seed, t)``
+    over t < n.
     """
     if n < 1:
         raise ValueError("need at least one trajectory")
-    validate_policy(model, f)
-    if i0 < 1:
-        raise ValueError("the start state must be at least 1")
-    samplers = _samplers(model, f)
-    bit_gen = np.random.PCG64(0)
-    rng = np.random.Generator(bit_gen)
-    extinct = 0
-    for t in range(n):
-        bit_gen.state = _derived_state(master_seed, t)
-        if _run(samplers, model.m, f, i0, caps, rng).result == EXTINCT:
-            extinct += 1
-    censored = n - extinct
+    extinct = sum(
+        int(np.count_nonzero(result == _RESULTS.index(EXTINCT)))
+        for result, _, _ in _outcomes(model, f, i0, caps, master_seed, 0, n)
+    )
     low, high = wilson_interval(extinct, n)
-    return EpEstimate(p_hat=extinct / n, ci_low=low, ci_high=high, n=n, censored=censored)
+    return EpEstimate(p_hat=extinct / n, ci_low=low, ci_high=high, n=n, censored=n - extinct)

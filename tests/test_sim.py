@@ -1,37 +1,85 @@
 import math
+import tracemalloc
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbpopt.sim as sim
 from cbpopt import (
     CENSORED_JUMPS,
     CENSORED_POPULATION,
     EXTINCT,
     Policy,
     SimCaps,
+    SimOutcome,
     estimate_ep,
     simulate_trajectory,
-    trajectory_rng,
+    validate_cbp_model,
     wilson_interval,
 )
-from cbpopt.sim import _splitmix64
 
 CAPS = SimCaps(max_jumps=20_000, max_pop=300)
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def _reference(model, f, i0, caps, master_seed, t) -> SimOutcome:
+    """One trajectory, one jump at a time, in Python integers and floats: draw
+    j is mix(key + (j + 1)·γ) taken to 53 bits, and jump j + 1 picks the
+    first offspring count whose cumulative probability exceeds it."""
+    key = _mix(((_mix((master_seed + GAMMA) & MASK64) ^ t) + GAMMA) & MASK64)
+    tables = {}
+    for a in set(f.head) | {f.tail}:
+        pmf = model.mechanism(a).offspring_pmf()
+        ks = sorted(pmf)
+        cum = np.cumsum([pmf[k] for k in ks]).tolist()
+        cum[-1] = 1.0
+        tables[a] = (cum, [k - 1 for k in ks])
+    state, jumps, peak = i0, 0, i0
+    while True:
+        if state == 0:
+            return SimOutcome(EXTINCT, jumps, peak)
+        if state > caps.max_pop:
+            return SimOutcome(CENSORED_POPULATION, jumps, peak)
+        if jumps >= caps.max_jumps:
+            return SimOutcome(CENSORED_JUMPS, jumps, peak)
+        cum, steps = tables[f.action_at(state)]
+        u = (_mix((key + (jumps + 1) * GAMMA) & MASK64) >> 11) * 2.0**-53
+        state += steps[bisect_right(cum, u)]
+        jumps += 1
+        peak = max(peak, state)
+
+
+def _three_atom_model():
+    return validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 1.5, 3: 0.5}})
+
+
+def _all_outcomes(model, f, i0, n, caps, master_seed):
+    parts = list(sim._outcomes(model, f, i0, caps, master_seed, 0, n))
+    return tuple(np.concatenate([part[k] for part in parts]) for k in range(3))
 
 
 class TestSimulateTrajectory:
     def test_seed_determinism(self, two_action_model):
         f = Policy(("a1",), "a1")
         runs = [
-            simulate_trajectory(two_action_model, f, 1, CAPS, seed=123) for _ in range(3)
+            simulate_trajectory(two_action_model, f, 1, CAPS, master_seed=123, t=4)
+            for _ in range(3)
         ]
         assert runs[0] == runs[1] == runs[2]
 
     def test_jump_cap_zero(self, two_action_model):
         outcome = simulate_trajectory(
-            two_action_model, Policy(("a1",), "a1"), 3, SimCaps(max_jumps=0, max_pop=100), seed=0
+            two_action_model, Policy(("a1",), "a1"), 3, SimCaps(max_jumps=0, max_pop=100), 0
         )
         assert outcome.result == CENSORED_JUMPS
         assert outcome.jumps == 0
@@ -39,27 +87,109 @@ class TestSimulateTrajectory:
 
     def test_population_cap_at_start(self, two_action_model):
         outcome = simulate_trajectory(
-            two_action_model, Policy(("a1",), "a1"), 50, SimCaps(max_jumps=10, max_pop=10), seed=0
+            two_action_model, Policy(("a1",), "a1"), 50, SimCaps(max_jumps=10, max_pop=10), 0
         )
         assert outcome.result == CENSORED_POPULATION
         assert outcome.jumps == 0
 
+    def test_start_past_int64_is_censored_at_once(self, two_action_model):
+        f = Policy(("a1",), "a1")
+        caps = SimCaps(max_jumps=10, max_pop=2**63)
+        outcome = simulate_trajectory(two_action_model, f, 2**70, caps, 0)
+        assert outcome == SimOutcome(CENSORED_POPULATION, 0, 2**70)
+        assert estimate_ep(two_action_model, f, 2**63, 5, caps, 0).censored == 5
+
     def test_bad_start_state(self, two_action_model):
         with pytest.raises(ValueError):
-            simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 0, CAPS, seed=0)
+            simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 0, CAPS, 0)
+        with pytest.raises(TypeError):
+            simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 1.5, CAPS, 0)
 
     def test_extinct_outcomes_consistent(self, two_action_model):
         f = Policy(("a2",), "a1")
         hits = 0
         for t in range(200):
-            outcome = simulate_trajectory(
-                two_action_model, f, 1, CAPS, seed=np.random.SeedSequence((5, t))
-            )
+            outcome = simulate_trajectory(two_action_model, f, 1, CAPS, 5, t)
             assert outcome.peak_population >= 1
             if outcome.result == EXTINCT:
                 hits += 1
                 assert outcome.jumps >= 1
         assert hits > 100  # exact extinction probability is 6/7
+
+    @pytest.mark.parametrize("t", [-1, 2**64])
+    def test_trajectory_index_outside_64_bits_is_a_value_error(self, two_action_model, t):
+        with pytest.raises(ValueError, match="trajectory index"):
+            simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 1, CAPS, 0, t)
+
+
+class TestEngine:
+    @pytest.mark.parametrize(
+        "head, i0, caps",
+        [
+            (("a1",), 1, SimCaps(max_jumps=2_000, max_pop=40)),
+            (("a2",), 3, SimCaps(max_jumps=2_000, max_pop=40)),
+            (("a1",), 1, SimCaps(max_jumps=300, max_pop=10**6)),
+            (("a1",), 25, SimCaps(max_jumps=7, max_pop=30)),
+        ],
+        ids=["head_a1", "head_a2", "jump_capped", "budget_in_block"],
+    )
+    def test_matches_scalar_reference(self, two_action_model, head, i0, caps):
+        f = Policy(head, "a1")
+        result, jumps, peak = _all_outcomes(two_action_model, f, i0, 200, caps, 31)
+        for t in range(200):
+            got = SimOutcome(sim._RESULTS[result[t]], int(jumps[t]), int(peak[t]))
+            assert got == _reference(two_action_model, f, i0, caps, 31, t)
+
+    def test_three_atom_tail_matches_scalar_reference(self):
+        model = _three_atom_model()
+        f = Policy(("a",), "a")
+        caps = SimCaps(max_jumps=500, max_pop=60)
+        for t in range(100):
+            assert simulate_trajectory(model, f, 2, caps, 8, t) == _reference(
+                model, f, 2, caps, 8, t
+            )
+
+    @pytest.mark.parametrize(
+        "constants",
+        [
+            {"_FIRST_BLOCK": 1, "_MAX_BLOCK": 1, "_BLOCK_ENTRIES": 1, "_COHORT": 1},
+            {
+                "_FIRST_BLOCK": 4096,
+                "_MAX_BLOCK": 1 << 16,
+                "_BLOCK_ENTRIES": 1 << 20,
+                "_COHORT": 1 << 20,
+            },
+        ],
+        ids=["smallest", "large"],
+    )
+    def test_outcomes_do_not_depend_on_block_or_cohort_sizes(
+        self, two_action_model, monkeypatch, constants
+    ):
+        f = Policy(("a1",), "a1")
+        caps = SimCaps(max_jumps=1_000, max_pop=60)
+        want = _all_outcomes(two_action_model, f, 1, 150, caps, 17)
+        for name, value in constants.items():
+            monkeypatch.setattr(sim, name, value)
+        got = _all_outcomes(two_action_model, f, 1, 150, caps, 17)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("i0", [1, 5], ids=["head_start", "tail_start"])
+    def test_first_jump_matches_offspring_pmf(self, i0):
+        # One jump from i0 lands on i0 - 1, i0 + 1 or i0 + 2, which the
+        # result and the peak tell apart.
+        model = _three_atom_model()
+        pmf = model.mechanism("a").offspring_pmf()
+        n = 20_000
+        result, _, peak = _all_outcomes(
+            model, Policy(("a",), "a"), i0, n, SimCaps(max_jumps=1, max_pop=100), 4
+        )
+        rise = peak - i0
+        for k, p in pmf.items():
+            count = int(np.count_nonzero(rise == max(k - 1, 0)))
+            low, high = wilson_interval(count, n, z=6.0)
+            assert low <= p <= high, (k, count)
+        np.testing.assert_array_equal(result == 0, (rise == 0) & (i0 == 1))
 
 
 class TestEstimateEp:
@@ -74,15 +204,11 @@ class TestEstimateEp:
             assert estimate.ci_low <= exact <= estimate.ci_high
 
     def test_estimate_aggregates_per_trajectory_runs(self, two_action_model):
-        # The estimate is exactly the aggregate of per-trajectory runs on the
-        # counter-derived generators.
+        # The estimate is exactly the aggregate of trajectories 0 .. n - 1.
         f = Policy(("a1",), "a1")
         n = 300
         estimate = estimate_ep(two_action_model, f, 1, n, CAPS, master_seed=99)
-        outcomes = [
-            simulate_trajectory(two_action_model, f, 1, CAPS, trajectory_rng(99, t))
-            for t in range(n)
-        ]
+        outcomes = [simulate_trajectory(two_action_model, f, 1, CAPS, 99, t) for t in range(n)]
         extinct = sum(1 for o in outcomes if o.result == EXTINCT)
         assert estimate.p_hat == extinct / n
         assert estimate.censored == n - extinct
@@ -102,14 +228,12 @@ class TestEstimateEp:
         f = Policy(("a1",), "a1")
         tight = SimCaps(max_jumps=50, max_pop=20)
         loose = SimCaps(max_jumps=500, max_pop=200)
-        for t in range(200):
-            seed_tight = np.random.SeedSequence((11, t))
-            seed_loose = np.random.SeedSequence((11, t))
-            a = simulate_trajectory(two_action_model, f, 1, tight, seed_tight)
-            b = simulate_trajectory(two_action_model, f, 1, loose, seed_loose)
-            if a.result == EXTINCT:
-                assert b.result == EXTINCT
-                assert b.jumps == a.jumps
+        result_a, jumps_a, _ = _all_outcomes(two_action_model, f, 1, 2_000, tight, 11)
+        result_b, jumps_b, _ = _all_outcomes(two_action_model, f, 1, 2_000, loose, 11)
+        extinct = result_a == 0
+        assert extinct.sum() > 500
+        assert (result_b[extinct] == 0).all()
+        np.testing.assert_array_equal(jumps_b[extinct], jumps_a[extinct])
 
     def test_rejects_zero_trajectories(self, two_action_model):
         with pytest.raises(ValueError):
@@ -117,24 +241,52 @@ class TestEstimateEp:
 
     @pytest.mark.parametrize(
         "seed",
-        [-1, 2**64, 2**128, 1 + ((_splitmix64(1) ^ _splitmix64(0)) << 64)],
+        [-1, 2**64, 2**128, 2**126],
         ids=["negative", "2**64", "2**128", "127_bit_alias_of_0"],
     )
     def test_seed_outside_64_bits_is_a_value_error(self, two_action_model, seed):
-        # Below 2**64 the seed derivation is one-to-one; outside it seeds
-        # would share streams (2**128 and the 127-bit case with seed 0).
+        # Below 2**64 each seed gets draws of its own; outside it seeds would
+        # share them (2**64, 2**128 and the 127-bit 2**126 with seed 0).
+        f = Policy(("a1",), "a1")
         with pytest.raises(ValueError, match="master seed"):
-            estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, 10, CAPS, master_seed=seed)
+            estimate_ep(two_action_model, f, 1, 10, CAPS, master_seed=seed)
         with pytest.raises(ValueError, match="master seed"):
-            trajectory_rng(seed, 0)
+            simulate_trajectory(two_action_model, f, 1, CAPS, seed)
 
-    def test_top_64_bit_seed_has_its_own_stream(self):
-        assert trajectory_rng(2**64 - 1, 0).random() != trajectory_rng(0, 0).random()
+    def test_top_64_bit_seed_has_its_own_stream(self, two_action_model):
+        f = Policy(("a1",), "a1")
+        top = [simulate_trajectory(two_action_model, f, 1, CAPS, 2**64 - 1, t) for t in range(20)]
+        zero = [simulate_trajectory(two_action_model, f, 1, CAPS, 0, t) for t in range(20)]
+        assert top != zero
+        assert top[3] == _reference(two_action_model, f, 1, CAPS, 2**64 - 1, 3)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5)], ids=["int64", "uint64"])
+    def test_numpy_integer_seed_is_its_value(self, two_action_model, seed):
+        f = Policy(("a1",), "a1")
+        want = estimate_ep(two_action_model, f, 1, 500, CAPS, master_seed=5)
+        assert estimate_ep(two_action_model, f, 1, 500, CAPS, master_seed=seed) == want
+
+    def test_float_seed_is_a_type_error(self, two_action_model):
+        with pytest.raises(TypeError):
+            estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, 10, CAPS, master_seed=5.0)
+
+    def test_memory_does_not_grow_with_n(self, two_action_model):
+        f = Policy(("a1",), "a1")
+        caps = SimCaps(max_jumps=10**6, max_pop=30)
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                estimate_ep(two_action_model, f, 1, n, caps, master_seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
     def test_forced_bad_tail_dominates(self):
         # Playing the larger-root action in the tail cannot lower extinction
         # below the pinned-tail optimum.
-        from cbpopt import solve, validate_cbp_model
+        from cbpopt import solve
 
         model = validate_cbp_model(
             1,
