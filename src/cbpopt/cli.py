@@ -3,6 +3,13 @@
 Exit codes: 0 success, 1 model parse/validation failure, 2 numerical failure,
 3 usage error.  ``--json`` replaces the human tables with a byte-stable JSON
 report.
+
+Only ``errors``, ``model`` and ``modelfile`` load with this module.  Each
+command imports its compute modules (``gen_fn``, ``solver``, ``sim``,
+``general``) once its model file is loaded and validated and its policy spec
+parsed.  So ``rho``, whose roots are pure Python, and every command that fails
+before it computes (unreadable or invalid files, the wrong model kind, a
+malformed policy spec) never import numpy.
 """
 
 from __future__ import annotations
@@ -10,11 +17,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import gen_fn, general, sim, solver
-from .errors import NumericalError, TooManyPolicies, UsageError, ValidationError
+from .errors import NumericalError, UsageError, ValidationError
 from .model import CbpModel, GeneralModel
 from .modelfile import dump_json, load_model, parse_policy_spec
+
+if TYPE_CHECKING:
+    from .solver import ExtinctionProfile, IterationRecord, Policy
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -83,10 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
 
     p = add("general", "exact minimal hitting probabilities, OE residual at most --tol")
-    p.add_argument("--tol", type=_positive_float, default=general.DEFAULT_TOL)
+    # No default for --tol or --cap here: each handler falls back to the
+    # default of the module it imports after the model file is validated.
+    p.add_argument("--tol", type=_positive_float)
 
     p = add("brute", "enumerate every head policy")
-    p.add_argument("--cap", type=_positive_int, default=solver.DEFAULT_BRUTE_CAP)
+    p.add_argument("--cap", type=_positive_int)
     return parser
 
 
@@ -102,19 +114,21 @@ def _require_general(model) -> GeneralModel:
     return model
 
 
-def _policy_doc(f: solver.Policy) -> dict:
+def _policy_doc(f: Policy) -> dict:
     return {
         "head": {str(i): f.head[i - 1] for i in range(1, f.m + 1)},
         "tail": f.tail,
     }
 
 
-def _profile_doc(profile: solver.ExtinctionProfile) -> dict:
+def _profile_doc(profile: ExtinctionProfile) -> dict:
+    from .solver import GEOMETRIC
+
     doc: dict = {
         "head_values": list(profile.head_values),
         "tail_kind": profile.tail_kind,
     }
-    if profile.tail_kind == solver.GEOMETRIC:
+    if profile.tail_kind == GEOMETRIC:
         doc["rho_star"] = profile.rho_star
     else:
         doc["i0"] = profile.i0
@@ -122,11 +136,13 @@ def _profile_doc(profile: solver.ExtinctionProfile) -> dict:
     return doc
 
 
-def _profile_text(profile: solver.ExtinctionProfile) -> str:
+def _profile_text(profile: ExtinctionProfile) -> str:
+    from .solver import GEOMETRIC
+
     values = " ".join(
         f"{i}:{profile.ep(i):.12g}" for i in range(1, profile.m + 1)
     )
-    if profile.tail_kind == solver.GEOMETRIC:
+    if profile.tail_kind == GEOMETRIC:
         tail = f"geometric tail with ratio {profile.rho_star:.12g} above state {profile.m}"
     else:
         tail = f"zero from state {profile.i0} on"
@@ -135,6 +151,8 @@ def _profile_text(profile: solver.ExtinctionProfile) -> str:
 
 def _cmd_rho(args):
     model = _require_cbp(load_model(args.model))
+    from . import gen_fn
+
     roots = gen_fn.rho_star(model)
     report = {
         "actions": [
@@ -165,7 +183,7 @@ def _cmd_rho(args):
     return report, "\n".join(lines)
 
 
-def _iteration_doc(record: solver.IterationRecord) -> dict:
+def _iteration_doc(record: IterationRecord) -> dict:
     return {
         "policy": _policy_doc(record.policy),
         "profile": _profile_doc(record.profile),
@@ -176,6 +194,8 @@ def _iteration_doc(record: solver.IterationRecord) -> dict:
 def _cmd_solve(args):
     model = _require_cbp(load_model(args.model))
     start = parse_policy_spec(args.start_policy)
+    from . import solver
+
     report_obj = solver.solve(model, start_head=start)
     report = {
         "m": model.m,
@@ -227,6 +247,8 @@ def _cmd_solve(args):
 def _cmd_evaluate(args):
     model = _require_cbp(load_model(args.model))
     overrides = parse_policy_spec(args.policy)
+    from . import gen_fn, solver
+
     roots = gen_fn.rho_star(model)
     f = solver.default_policy(model, roots.a_star, overrides)
     profile = solver.evaluate_policy(model, f, roots.rho_star)
@@ -243,6 +265,8 @@ def _cmd_evaluate(args):
 def _cmd_simulate(args):
     model = _require_cbp(load_model(args.model))
     overrides = parse_policy_spec(args.policy)
+    from . import gen_fn, sim, solver
+
     roots = gen_fn.rho_star(model)
     f = solver.default_policy(model, roots.a_star, overrides)
     caps = sim.SimCaps(max_jumps=args.max_jumps, max_pop=args.max_pop)
@@ -267,7 +291,10 @@ def _cmd_simulate(args):
 
 def _cmd_general(args):
     model = _require_general(load_model(args.model))
-    solution = general.value_iterate(model, tol=args.tol)
+    from . import general
+
+    tol = general.DEFAULT_TOL if args.tol is None else args.tol
+    solution = general.value_iterate(model, tol=tol)
     report = {
         "values": {str(s): solution.values[s] for s in model.states},
         "policy": {str(s): solution.policy[s] for s in model.interior_states()},
@@ -284,7 +311,10 @@ def _cmd_general(args):
 
 def _cmd_brute(args):
     model = _require_cbp(load_model(args.model))
-    profile, table = solver.brute_force_table(model, cap=args.cap)
+    from . import solver
+
+    cap = solver.DEFAULT_BRUTE_CAP if args.cap is None else args.cap
+    profile, table = solver.brute_force_table(model, cap=cap)
     report = {
         "profile": _profile_doc(profile),
         "policies": [

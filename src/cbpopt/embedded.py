@@ -1,5 +1,4 @@
-"""Embedded jump-chain rows, the discounted tail weight, and the compiled
-one-jump operator.
+"""The discounted tail weight and the compiled one-jump operator.
 
 A branching jump from population i lands on i - 1 + k with probability
 b_k / |b1|, independent of i after the shift; the self-transition is zero by
@@ -14,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,23 +91,6 @@ class JumpRows:
         c[at[target]] = weight[target]
         inside = col < k
         return at[inside], col[inside], weight[inside], c
-
-
-@dataclass(frozen=True)
-class EmbeddedRow:
-    state: int
-    action: str | None
-    entries: Mapping[int, float]
-
-
-def embedded_row(mech: BranchingMechanism, i: int, action: str | None = None) -> EmbeddedRow:
-    """One-jump distribution out of population i >= 1."""
-    pmf = mech.offspring_pmf()
-    return EmbeddedRow(
-        state=i,
-        action=action,
-        entries=MappingProxyType({i - 1 + k: p for k, p in pmf.items()}),
-    )
 
 
 def tail_weight(mech: BranchingMechanism, i: int, m: int, rho_star: float) -> float:

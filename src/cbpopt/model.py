@@ -251,7 +251,10 @@ def validate_general_model(
     rows: dict[tuple[State, str], Mapping[State, float]] = {}
     exits: dict[tuple[State, str], float] = {}
     actions: dict[State, list[str]] = {}
-    for i, a in sorted(raw_rows, key=lambda key: (str(key[0]), str(key[1]))):
+    # Rows in state-list order and actions sorted within a state, which also
+    # sorts each state's action tuple; rows of unknown states sort first, so
+    # they are reported before other faults.
+    for i, a in sorted(raw_rows, key=lambda key: (order.get(key[0], -1), key[1])):
         if i not in order:
             raise ValidationError(f"rate row references unknown state {i!r}")
         raw = raw_rows[(i, a)]
@@ -324,5 +327,5 @@ def validate_general_model(
         cemetery=cemetery,
         rows=MappingProxyType(rows),
         exit_rates=MappingProxyType(exits),
-        actions=MappingProxyType({s: tuple(sorted(a)) for s, a in actions.items()}),
+        actions=MappingProxyType({s: tuple(a) for s, a in actions.items()}),
     )

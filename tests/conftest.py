@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import cbpopt
 from cbpopt import (
     BranchingMechanism,
     CbpModel,
@@ -34,6 +43,39 @@ def zero_death_model() -> CbpModel:
         {1: ["a1"], 2: ["z"]},
         ["a1"],
         {"a1": {0: 1.0, 2: 2.0}, "z": {2: 1.0}},
+    )
+
+
+def run_fresh(script: str) -> str:
+    """Run a Python script in a new interpreter that imports this checkout's
+    cbpopt; return its standard output."""
+    src = str(Path(cbpopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout
+
+
+@dataclass(frozen=True)
+class EmbeddedRow:
+    state: int
+    action: str | None
+    entries: Mapping[int, float]
+
+
+def embedded_row(mech: BranchingMechanism, i: int, action: str | None = None) -> EmbeddedRow:
+    """Reference one-jump distribution out of population i >= 1, which the
+    compiled rows of ``embedded.JumpRows`` are checked against."""
+    pmf = mech.offspring_pmf()
+    return EmbeddedRow(
+        state=i,
+        action=action,
+        entries=MappingProxyType({i - 1 + k: p for k, p in pmf.items()}),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from cbpopt import cbp_truncate, parse_model
 from cbpopt.cli import main
 from cbpopt.modelfile import dump_json, model_to_doc
+from conftest import run_fresh
 
 TWO_ACTION = {
     "kind": "cbp",
@@ -385,6 +386,31 @@ class TestCommands:
         monkeypatch.setenv("CBP_OPT_THREADS", "abc")
         assert main(args) == 0
         assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    ("argv", "doc", "code"),
+    [
+        (["rho"], TWO_ACTION, 0),
+        (["simulate"], "{not json", 1),
+        (["solve"], _cbp_with(b={"0": 1.0, "1": 1.0, "2": 2.0}), 1),
+        (["general"], TWO_ACTION, 1),
+        (["evaluate", "--policy", "1:"], TWO_ACTION, 3),
+    ],
+    ids=["rho", "invalid_json", "k_equals_1", "general_on_cbp", "malformed_policy"],
+)
+def test_command_does_not_import_numpy(tmp_path, argv, doc, code):
+    # Root finding is pure Python, and a command that fails before it
+    # computes has no use for numpy; importing it would double the start-up.
+    path = tmp_path / "model.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from cbpopt.cli import main\n"
+        f"code = main({[argv[0], str(path), *argv[1:]]!r})\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(script).splitlines()[-1] == f"{code} False"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbpopt import embedded_row, tail_weight, validate_mechanism
-from conftest import mechanism_st
+from cbpopt import tail_weight, validate_mechanism
+from conftest import embedded_row, mechanism_st
 
 
 class TestEmbeddedRow:

@@ -1,0 +1,41 @@
+import importlib
+
+import pytest
+
+import cbpopt
+from conftest import run_fresh
+
+
+def test_import_loads_no_submodule():
+    script = (
+        "import sys\n"
+        "import cbpopt\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cbpopt')), 'numpy' in sys.modules)\n"
+    )
+    assert run_fresh(script).strip() == "['cbpopt'] False"
+
+
+def test_each_export_is_its_submodule_object():
+    for name in cbpopt.__all__:
+        module = importlib.import_module(f"cbpopt.{cbpopt._SUBMODULE[name]}")
+        obj = getattr(cbpopt, name)
+        assert obj is getattr(module, name), name
+        # Functions and classes are exported from the module that defines them.
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
+
+
+def test_star_import_and_dir_cover_all():
+    namespace: dict = {}
+    exec("from cbpopt import *", namespace)
+    assert set(cbpopt.__all__) <= namespace.keys()
+    assert set(cbpopt.__all__) | {"__version__"} <= set(dir(cbpopt))
+
+
+def test_submodule_is_an_attribute():
+    assert cbpopt.linsys is importlib.import_module("cbpopt.linsys")
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "embedded_row", "EmbeddedRow"])
+def test_unknown_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(cbpopt, name)

@@ -17,7 +17,6 @@ from cbpopt import (
     brute_force,
     brute_force_table,
     default_policy,
-    embedded_row,
     evaluate_policy,
     improve_policy,
     rho_star,
@@ -29,7 +28,7 @@ from cbpopt import (
 )
 from cbpopt import solver
 from cbpopt.solver import _head_rows, _no_death_actions, _policy_rows
-from conftest import bisect_min_root, random_cbp_model, random_mechanism_entries
+from conftest import bisect_min_root, embedded_row, random_cbp_model, random_mechanism_entries
 
 
 class TestZeroDeathCutoff:
