@@ -49,7 +49,11 @@ class JumpRows:
 
     def argmin(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-state minimum at x and the first (smallest-id) row attaining it."""
-        cand = self.candidates(x)
+        return self.least(self.candidates(x))
+
+    def least(self, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-state minimum of the row values ``cand`` and the first
+        (smallest-id) row attaining it."""
         best = np.minimum.reduceat(cand, self.state_ptr)
         n_rows = len(self.actions)
         counts = np.diff(self.state_ptr, append=n_rows)

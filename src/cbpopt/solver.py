@@ -290,22 +290,43 @@ def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
     ``evaluate(chosen)`` returns a record of the policy playing rows
     ``chosen``, the values of the leading states open to improvement and the
     value vector ``held``.  Each such state moves to its smallest-id best row
-    at ``held`` only if that is strictly below its value, so no policy comes
-    twice.  Yields ``(record, improved rows, changed states)`` per sweep.
+    at ``held`` only if that is strictly below its value, so in exact
+    arithmetic no policy comes twice.  In floating point a row tied with the
+    current one can come out an ulp below the value under one policy and the
+    other way round under the next; once a sweep would bring a policy back,
+    a state must from then on also beat its current row's one-jump value,
+    which in exact arithmetic equals its value.  Yields ``(record, improved
+    rows, changed states)`` per sweep.
     """
     bound = math.prod(np.diff(rows.state_ptr, append=len(rows.actions)).tolist())
+    seen = set()
+    tied = False
     for _ in range(bound):
+        seen.add(chosen.tobytes())
         record, values, held = evaluate(chosen)
-        best, first = rows.argmin(held)
-        better = np.flatnonzero(best[: len(values)] < values)
-        improved = chosen.copy()
-        improved[better] = first[better]
+        cand = rows.candidates(held)
+        best, first = rows.least(cand)
+        best = best[: len(values)]
+        current = cand[chosen[: len(values)]]
+        improved = _improved(chosen, best, first, np.minimum(values, current) if tied else values)
+        if not tied and (improved != chosen).any() and improved.tobytes() in seen:
+            tied = True
+            improved = _improved(chosen, best, first, np.minimum(values, current))
         changed = np.flatnonzero(improved != chosen)
         yield record, improved, changed
         if not len(changed):
             return
         chosen = improved
     raise IterationBound(f"no fixed point within the {bound} distinct policies; this is a defect")
+
+
+def _improved(chosen: np.ndarray, best: np.ndarray, first: np.ndarray, floor: np.ndarray):
+    """``chosen`` with each leading state whose best is below ``floor``
+    moved to its first best row."""
+    better = np.flatnonzero(best < floor)
+    improved = chosen.copy()
+    improved[better] = first[better]
+    return improved
 
 
 def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:

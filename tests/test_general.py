@@ -191,6 +191,24 @@ def test_truncation_cross_checks_solve(case):
             assert short.values[i] == wide.values[i] == 0.0
 
 
+def test_truncation_rounding_tie_does_not_cycle():
+    # Every value is 1 up to rounding.  At state 5, rows a0 and a2 each
+    # come out an ulp below the value under the policy playing the other,
+    # so comparing with the value alone alternates between them forever.
+    mechanisms = {
+        "a0": {0: 2.893077546003844, 2: 2.1097701601231513, 3: 2.8544540936040455},
+        "a1": {0: 2.8434218857086457, 2: 0.6550736527303715},
+        "a2": {0: 1.6245582647336532, 2: 2.71807769961493, 3: 1.5199409515707056},
+        "a3": {0: 0.5217733847416107, 2: 2.1250532793486347, 3: 2.8681143529267596},
+    }
+    admissible = {1: ["a3"], 2: ["a0"], 3: ["a1", "a3"], 4: ["a0", "a1"], 5: ["a0", "a2", "a3"]}
+    model = validate_cbp_model(5, admissible, ["a1"], mechanisms)
+    solution = value_iterate(cbp_truncate(model, None, 36))
+    assert solution.oe_residual <= 1e-12
+    assert all(solution.values[i] <= 1.0 for i in range(1, 37))
+    assert solution.values[1] == pytest.approx(1.0, abs=1e-9)
+
+
 class TestCbpTruncate:
     def test_level_guard(self, single_action_cbp):
         with pytest.raises(ValueError):
