@@ -4,9 +4,11 @@ A graph pass first gives value exactly zero to the states from which some
 policy keeps off the target surely ("Prob0E": Forejt, Kwiatkowska, Norman &
 Parker, SFM 2011, section 4).  Every policy leaves the other states with
 positive probability, so there the optimality equation has one solution,
-which ``solve``'s policy iteration reaches exactly.  Branching models are
-truncated to a finite window, jumps past it going to the cemetery (value
-zero), so truncated values are lower bounds that grow with the window.
+which ``solve``'s policy iteration reaches exactly.  Each policy is
+evaluated by one banded solve, whose lower bandwidth is the farthest jump
+back in the state order.  Branching models are truncated to a finite window,
+jumps past it going to the cemetery (value zero), so truncated values are
+lower bounds that grow with the window.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .embedded import JumpRows
 from .errors import NumericalError
-from .linsys import UnitSystem, solve_hessenberg, solve_unit
+from .linsys import solve_banded
 from .model import CbpModel, GeneralModel, State, validate_general_model
 from .solver import Policy, _policy_iteration, validate_policy
 
@@ -118,13 +120,7 @@ def value_iterate(
     n = len(interior)
 
     def evaluate(chosen):
-        row, col, weight, c = rows.triplets(chosen)
-        if np.all(col >= row - 1):  # no jump moves more than one state down
-            x = solve_hessenberg(n, row, col, weight, c)
-        else:
-            U = np.zeros((n, n))
-            np.add.at(U, (row, col), weight)
-            x = solve_unit(UnitSystem(U, c))
+        x = solve_banded(n, *rows.triplets(chosen))
         x = np.append(np.clip(x, 0.0, 1.0), 1.0)
         if trace is not None:
             trace.append(x[:n])

@@ -1,11 +1,11 @@
 """Solves of (I - U) x = c for nonnegative systems.
 
-A policy's head system is upper Hessenberg with a narrow upper band, and
-:func:`solve_hessenberg` solves it from its nonzero entries in O(n q) time
-and memory, q being the upper bandwidth.  :func:`solve_unit` is the dense
-reference, and solves the general-model policies whose jumps go two or more
-states down: the same pivoted elimination on a full matrix, run only inside
-its lower band, so O(n^2) for upper Hessenberg systems.
+Every solve is one pivoted elimination inside the band of U,
+:func:`solve_banded`, which works from U's nonzero entries in O(n p (p + q))
+time and O(n (p + q)) memory, p and q being the lower and upper bandwidths.
+A policy's head system is upper Hessenberg (p = 1) with a narrow upper band;
+general-model policies whose jumps go two or more states down widen p.
+:func:`solve_unit` hands a dense U to the same kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ PIVOT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Nonnegative square matrix U and nonnegative constants c."""
+    """Finite nonnegative square matrix U and finite nonnegative constants c."""
 
     U: np.ndarray
     c: np.ndarray
@@ -35,6 +35,8 @@ class UnitSystem:
             raise ValueError("U must be a square matrix")
         if c.shape != (U.shape[0],):
             raise ValueError("c must be a vector matching U")
+        if not (np.isfinite(U).all() and np.isfinite(c).all()):
+            raise ValueError("U and c entries must be finite")
         if U.size and float(U.min()) < 0.0:
             raise ValueError("U entries must be nonnegative")
         if c.size and float(c.min()) < 0.0:
@@ -76,103 +78,93 @@ def has_invertible_structure(U) -> bool:
 
 
 def solve_unit(system: UnitSystem) -> np.ndarray:
-    """Solve (I - U) x = c by Gaussian elimination with partial pivoting.
-
-    With p the lower bandwidth of U (the largest row - col of a nonzero
-    entry), the pivot search and the elimination of column col stay in rows
-    col..col+p, so the solve costs O(n^2 p): O(n^2) for upper Hessenberg
-    systems, the same algorithm as a full search for dense ones.  A row below
-    the band has never been swapped or updated, so its entries in the current
-    column are still the exact zeros of U; a full search would pick the same
-    pivot and subtract exactly zero from those rows, and the result is the
-    same bit for bit (Golub & Van Loan, Matrix Computations, section 4.3).
-
-    Raises SingularSystem when the best available pivot falls below
-    ``PIVOT_RTOL`` times the largest entry of the initial matrix, which
-    signals that the system's invertibility hypotheses do not hold.
-    """
-    n = system.n
-    if n == 0:
-        return np.zeros(0)
-    A = np.eye(n) - system.U
-    x = system.c.copy()
-    scale = float(np.abs(A).max())
-    if scale == 0.0:
-        raise SingularSystem("coefficient matrix is identically zero")
-    threshold = PIVOT_RTOL * scale
+    """Solve (I - U) x = c for a dense U by :func:`solve_banded` on its
+    nonzero entries."""
     rows, cols = np.nonzero(system.U)
-    band = int((rows - cols).max(initial=0))
-    for col in range(n):
-        end = min(col + band + 1, n)
-        p = col + int(np.argmax(np.abs(A[col:end, col])))
-        if abs(A[p, col]) < threshold:
-            raise SingularSystem(
-                f"pivot {abs(A[p, col]):.3e} below threshold {threshold:.3e} at column {col}"
-            )
-        if p != col:
-            A[[col, p]] = A[[p, col]]
-            x[[col, p]] = x[[p, col]]
-        if col + 1 < end:
-            factors = A[col + 1 : end, col] / A[col, col]
-            A[col + 1 : end, col:] -= np.outer(factors, A[col, col:])
-            x[col + 1 : end] -= factors * x[col]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - A[i, i + 1 :] @ x[i + 1 :]) / A[i, i]
-    return x
+    return solve_banded(system.n, rows, cols, system.U[rows, cols], system.c)
 
 
-def solve_hessenberg(n: int, row, col, weight, c) -> np.ndarray:
-    """Solve (I - U) x = c for the n x n upper Hessenberg U given by its
-    entries ``U[row[e], col[e]] = weight[e]``, every other entry zero.
+def solve_banded(n: int, row, col, weight, c) -> np.ndarray:
+    """Solve (I - U) x = c by Gaussian elimination with partial pivoting,
+    for the n x n matrix U given by its entries ``U[row[e], col[e]] =
+    weight[e]``, every other entry zero.  Each (row, col) appears at most
+    once.
 
-    With one subdiagonal, partial pivoting can only swap a row with the one
-    below it, which widens the upper band by one (Golub & Van Loan, Matrix
-    Computations, section 4.3).  Each row of I - U is held as its q + 2 entries from column row - 1
-    on, q being the largest col - row, so the solve costs O(n q) and no n x n
-    array is built.  Pivots, the breakdown threshold and the elimination
-    arithmetic are those of :func:`solve_unit` on the dense system, and so is
-    every SingularSystem raised.  Back substitution sums each row's band in
-    column order, where solve_unit takes a BLAS dot product over the whole
-    row, so the two solutions can differ in the last bits.
+    With p = max(1, largest row - col) the lower and q the upper bandwidth,
+    the pivot of column k is the first largest among rows k..k+p, and each
+    swap widens the upper band to at most q + p, as in LAPACK gbtrf (Golub &
+    Van Loan, Matrix Computations, section 4.3).  A row below the band has
+    never been swapped or updated, so its entries in column k are still
+    exact zeros: a search of every row would pick the same pivot and
+    subtract exactly zero from those rows.  Each row of I - U is held as its
+    p + q + 1 entries from column row - p on, so no n x n array is built, and
+    back substitution sums each row's band in column order.
+
+    Raises SingularSystem when the chosen pivot falls below ``PIVOT_RTOL``
+    times the largest entry of I - U, which signals that the system's
+    invertibility hypotheses do not hold.
     """
     if n == 0:
         return np.zeros(0)
     row = np.asarray(row, dtype=np.int64)
     offset = np.asarray(col, dtype=np.int64) - row
-    if offset.min(initial=0) < -1:
-        raise ValueError("U must be upper Hessenberg")
+    p = max(1, -int(offset.min(initial=0)))
     q = int(offset.max(initial=0))
-    # Row n is a zero row below the last, so column n - 1 runs the same steps.
-    A = np.zeros((n + 1, q + 2))
-    A[:n, 1] = 1.0
-    A[row, offset + 1] -= weight
+    # Rows n..n+p-1 are zero rows below the last, so the last p columns run
+    # the same steps as the others.
+    A = np.zeros((n + p, p + q + 1))
+    A[:n, p] = 1.0
+    A[row, offset + p] -= weight
     scale = float(np.abs(A).max())
     if scale == 0.0:
         raise SingularSystem("coefficient matrix is identically zero")
     threshold = PIVOT_RTOL * scale
     A = A.tolist()
     x = np.asarray(c, dtype=float).tolist()
-    x.append(0.0)
-    # cur is the pivot row of column k over columns k..k+q+1; row k + 1 over
-    # the same columns is the only other candidate.
-    cur = A[0][1:] + [0.0]
+    x += [0.0] * p
+    # cur holds row k and mid rows k+1..k+p-1 over columns k..k+p+q; the
+    # untouched row k+p, stored from column k on, is the last candidate.
+    cur = A[0][p:] + [0.0] * p
+    mid = [A[i][p - i :] + [0.0] * (p - i) for i in range(1, p)]
     done = []
     for k in range(n):
-        below = A[k + 1]
-        if abs(below[0]) > abs(cur[0]):
+        below = A[k + p]
+        if mid:
+            best, at = cur, 0
+            for j, r in enumerate([*mid, below], 1):
+                if abs(r[0]) > abs(best[0]):
+                    best, at = r, j
+            if at == p:
+                cur, below = below, cur
+            elif at:
+                cur, mid[at - 1] = best, cur
+            x[k], x[k + at] = x[k + at], x[k]
+        elif abs(below[0]) > abs(cur[0]):
             cur, below = below, cur
             x[k], x[k + 1] = x[k + 1], x[k]
-        if abs(cur[0]) < threshold:
+        pivot = cur[0]
+        if abs(pivot) < threshold:
             raise SingularSystem(
-                f"pivot {abs(cur[0]):.3e} below threshold {threshold:.3e} at column {k}"
+                f"pivot {abs(pivot):.3e} below threshold {threshold:.3e} at column {k}"
             )
         done.append(cur)
-        factor = below[0] / cur[0]
-        x[k + 1] -= factor * x[k]
-        cur = [b - factor * a for a, b in zip(cur, below)]
-        del cur[0]
-        cur.append(0.0)
-    later = deque(maxlen=q + 1)  # x[i + 1 : i + q + 2]
+        factor = below[0] / pivot
+        x[k + p] -= factor * x[k]
+        below = [b - factor * a for a, b in zip(cur, below)]
+        del below[0]
+        below.append(0.0)
+        if mid:
+            for j, r in enumerate(mid, 1):
+                factor = r[0] / pivot
+                x[k + j] -= factor * x[k]
+                r = [b - factor * a for a, b in zip(cur, r)]
+                del r[0]
+                r.append(0.0)
+                mid[j - 1] = r
+            mid.append(below)
+            below = mid.pop(0)
+        cur = below
+    later = deque(maxlen=p + q)  # x[i + 1 : i + p + q + 1]
     for i in range(n - 1, -1, -1):
         entries = iter(done[i])
         pivot = next(entries)

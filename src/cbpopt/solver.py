@@ -30,7 +30,7 @@ from .errors import (
     SingularSystem,
     TooManyPolicies,
 )
-from .linsys import solve_hessenberg
+from .linsys import solve_banded
 from .model import CbpModel
 
 GEOMETRIC = "geometric"
@@ -215,7 +215,7 @@ def _evaluate(model, rows, f, rho_star, no_death) -> ExtinctionProfile:
     chosen, kind, i0 = _policy_rows(rows, f, no_death)
     size = len(chosen)
     try:
-        x = solve_hessenberg(size, *rows.triplets(chosen))
+        x = solve_banded(size, *rows.triplets(chosen))
     except SingularSystem as exc:
         label = "geometric-tail" if kind == GEOMETRIC else "zero-tail"
         raise SingularSystem(

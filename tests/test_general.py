@@ -14,13 +14,31 @@ from cbpopt import (
     validate_general_model,
     value_iterate,
 )
-from cbpopt import general
 from conftest import random_cbp_model
 
 
 @pytest.fixture
 def single_action_cbp():
     return validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 2.0}})
+
+
+def assert_exact_for_policy(model, solution):
+    """The values solve the returned policy's system to 1e-12, by
+    np.linalg.solve over the interior states, and certify it to 1e-12."""
+    interior = list(model.interior_states())
+    P, c = np.zeros((len(interior), len(interior))), np.zeros(len(interior))
+    for pos, s in enumerate(interior):
+        row = model.rows[(s, solution.policy[s])]
+        exit_rate = sum(row.values())
+        for j, rate in row.items():
+            if j in model.target:
+                c[pos] += rate / exit_rate
+            elif j in interior:
+                P[pos, interior.index(j)] += rate / exit_rate
+    exact = np.linalg.solve(np.eye(len(interior)) - P, c)
+    got = np.array([solution.values[s] for s in interior])
+    assert np.abs(got - exact).max() <= 1e-12
+    assert solution.oe_residual <= 1e-12
 
 
 class TestValueIterate:
@@ -119,7 +137,7 @@ class TestAvoidableStates:
         assert solution.policy == {1: "a", 2: "a"}
         assert solution.oe_residual == 0.0
 
-    def test_jump_two_states_down_takes_dense_path(self, monkeypatch):
+    def test_jump_two_states_down_is_solved_exactly(self):
         model = validate_general_model(
             [0, 1, 2, 3, "delta"],
             [0],
@@ -132,28 +150,8 @@ class TestAvoidableStates:
                 (3, "a"): {1: 2.0, "delta": 1.0},
             },
         )
-        dense_calls = []
-        solve_unit = general.solve_unit
-        monkeypatch.setattr(
-            general, "solve_unit", lambda system: dense_calls.append(system) or solve_unit(system)
-        )
         solution = value_iterate(model)
-        assert dense_calls
-        interior = [1, 2, 3]
-        P, c = np.zeros((3, 3)), np.zeros(3)
-        for pos, s in enumerate(interior):
-            a = solution.policy[s]
-            row = model.rows[(s, a)]
-            exit_rate = sum(row.values())
-            for j, rate in row.items():
-                if j == 0:
-                    c[pos] += rate / exit_rate
-                elif j in interior:
-                    P[pos, interior.index(j)] = rate / exit_rate
-        exact = np.linalg.solve(np.eye(3) - P, c)
-        got = np.array([solution.values[s] for s in interior])
-        assert np.abs(got - exact).max() <= 1e-12
-        assert solution.oe_residual <= 1e-12
+        assert_exact_for_policy(model, solution)
 
     def test_tol_below_residual_is_a_numerical_error(self):
         truncated = cbp_truncate(
@@ -163,6 +161,32 @@ class TestAvoidableStates:
         assert residual > 0.0
         with pytest.raises(NumericalError, match="residual"):
             value_iterate(truncated, tol=residual / 2)
+
+
+@st.composite
+def _far_jumping_model(draw):
+    """States 0..n and a cemetery, 0 the target.  Each row jumps 1 to 3
+    states down (below 0 into the target) and may jump up to 2 states up
+    (past n into the cemetery), so every policy reaches the target with
+    positive probability and the lower band of a policy is up to 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    rows = {}
+    for i in range(1, n + 1):
+        for a in "abc"[: int(rng.integers(1, 4))]:
+            row, down = {}, -int(rng.integers(1, 4))
+            for step in range(-3, 3):
+                if step == down or (step != 0 and rng.random() < 0.4):
+                    j = CEMETERY if i + step > n else max(i + step, 0)
+                    row[j] = row.get(j, 0.0) + float(rng.uniform(0.1, 3.0))
+            rows[(i, a)] = row
+    return validate_general_model([*range(n + 1), CEMETERY], [0], CEMETERY, rows)
+
+
+@given(_far_jumping_model())
+@settings(max_examples=100, deadline=None)
+def test_rows_jumping_three_states_down_are_solved_exactly(model):
+    assert_exact_for_policy(model, value_iterate(model))
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import SingularSystem, UnitSystem, has_invertible_structure, solve_unit
-from cbpopt.linsys import PIVOT_RTOL, solve_hessenberg
+from cbpopt.linsys import PIVOT_RTOL, solve_banded
 
 
 def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -39,7 +39,9 @@ def unrestricted_solve(
     for col in range(n):
         p = col + int(np.argmax(np.abs(A[col:, col])))
         if abs(A[p, col]) < threshold:
-            raise SingularSystem(f"at column {col}")
+            raise SingularSystem(
+                f"pivot {abs(A[p, col]):.3e} below threshold {threshold:.3e} at column {col}"
+            )
         if p != col:
             swaps += 1
             A[[col, p]] = A[[p, col]]
@@ -128,6 +130,19 @@ class TestSolveUnit:
         with pytest.raises(ValueError):
             UnitSystem(np.array([[0.1]]), np.array([-1.0]))
 
+    @pytest.mark.parametrize(
+        "U, c",
+        [
+            ([[np.nan]], [0.5]),
+            ([[np.inf]], [0.5]),
+            ([[0.0, 0.5], [0.9, 0.0]], [np.inf, 0.1]),
+            ([[0.0, 0.5], [0.9, 0.0]], [0.5, np.nan]),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, U, c):
+        with pytest.raises(ValueError, match="finite"):
+            UnitSystem(np.array(U), np.array(c))
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80, deadline=None)
     def test_structured_never_singular(self, n, seed):
@@ -166,7 +181,7 @@ class TestBandLimit:
         U = random_banded(rng, n, band, density)
         c = rng.uniform(0.0, 1.0, size=n)
         try:
-            want, _ = unrestricted_solve(U, c)
+            want, _ = unrestricted_solve(U, c, ordered_sums=True)
         except SingularSystem as exc:
             with pytest.raises(SingularSystem) as err:
                 solve_unit(UnitSystem(U, c))
@@ -179,7 +194,7 @@ class TestBandLimit:
         rng = np.random.default_rng(n + band)
         U = random_banded(rng, n, band, 1.0)
         c = rng.uniform(0.0, 1.0, size=n)
-        want, swaps = unrestricted_solve(U, c)
+        want, swaps = unrestricted_solve(U, c, ordered_sums=True)
         assert swaps > 0
         assert solve_unit(UnitSystem(U, c)).tobytes() == want.tobytes()
 
@@ -206,36 +221,38 @@ class TestBandLimit:
         assert singular_column(got.value) == singular_column(want.value) <= k
 
 
-def hessenberg_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
+def banded_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # Entries in reverse row-major order: the kernel must not depend on it.
     row, col = np.nonzero(U)
-    return solve_hessenberg(len(c), row, col, U[row, col], c)
-
-
-hessenberg_band_st = st.sampled_from([0, 1])
+    row, col = row[::-1], col[::-1]
+    return solve_banded(len(c), row, col, U[row, col], c)
 
 
 class TestHessenberg:
+    """:func:`solve_banded` on entry lists, against dense elimination."""
+
     @given(
         st.integers(min_value=1, max_value=30),
-        hessenberg_band_st,
+        band_st,
         st.sampled_from([0.3, 1.0]),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_dense_elimination_with_ordered_sums(self, n, band, density, seed):
-        # Same pivots, threshold and elimination as the dense loop; only the
-        # summation order of back substitution differs from solve_unit.
+        # Same pivots, threshold and elimination as a search of every row,
+        # and back substitution summing each row in column order.
         rng = np.random.default_rng(seed)
-        U = random_banded(rng, n, min(band, n - 1), density)
+        band = n - 1 if band is None else min(band, n - 1)
+        U = random_banded(rng, n, band, density)
         c = rng.uniform(0.0, 1.0, size=n)
         try:
             want, _ = unrestricted_solve(U, c, ordered_sums=True)
         except SingularSystem as exc:
             with pytest.raises(SingularSystem) as err:
-                hessenberg_solve(U, c)
-            assert singular_column(err.value) == singular_column(exc)
+                banded_solve(U, c)
+            assert str(err.value) == str(exc)
         else:
-            assert hessenberg_solve(U, c).tobytes() == want.tobytes()
+            assert banded_solve(U, c).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [12, 30])
     def test_swaps(self, n):
@@ -244,44 +261,47 @@ class TestHessenberg:
         c = rng.uniform(0.0, 1.0, size=n)
         want, swaps = unrestricted_solve(U, c, ordered_sums=True)
         assert swaps > 0
-        assert hessenberg_solve(U, c).tobytes() == want.tobytes()
+        assert banded_solve(U, c).tobytes() == want.tobytes()
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_within_four_ulps_of_solve_unit(self, n, seed):
-        # Substochastic systems like the head systems: reordering the sums of
-        # back substitution moves the solution by a few ulps at most.
+    def test_within_four_ulps_of_dot_product_sums(self, n, seed):
+        # Substochastic systems like the head systems: summing back
+        # substitution in column order instead of by a BLAS dot product moves
+        # the solution by a few ulps at most.
         rng = np.random.default_rng(seed)
         U = random_structured(rng, n)
         c = rng.uniform(0.0, 1.0, size=n)
-        want = solve_unit(UnitSystem(U, c))
-        got = hessenberg_solve(U, c)
+        want, _ = unrestricted_solve(U, c)
+        got = banded_solve(U, c)
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
 
     @given(
         st.integers(min_value=2, max_value=30),
-        hessenberg_band_st,
+        band_st,
         st.data(),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=100, deadline=None)
-    def test_singular_column_matches_solve_unit(self, n, band, data, seed):
+    def test_singular_message_matches_dense_elimination(self, n, band, data, seed):
         rng = np.random.default_rng(seed)
+        band = n - 1 if band is None else min(band, n - 1)
         U = random_banded(rng, n, band, 1.0)
         k = data.draw(st.integers(min_value=1, max_value=n - 1))
         U[:, k] = 0.0
         U[k, k] = 1.0
         c = rng.uniform(0.0, 1.0, size=n)
         with pytest.raises(SingularSystem) as want:
-            solve_unit(UnitSystem(U, c))
+            unrestricted_solve(U, c)
         with pytest.raises(SingularSystem) as got:
-            hessenberg_solve(U, c)
+            banded_solve(U, c)
         assert str(got.value) == str(want.value)
         assert singular_column(got.value) <= k
 
     def test_edge_cases(self):
-        assert hessenberg_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert banded_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
         with pytest.raises(SingularSystem, match="identically zero"):
-            hessenberg_solve(np.eye(3), np.ones(3))
-        with pytest.raises(ValueError, match="upper Hessenberg"):
-            solve_hessenberg(3, [2], [0], [0.5], np.ones(3))
+            banded_solve(np.eye(3), np.ones(3))
+        # An entry two below the diagonal widens the lower band to 2.
+        x = solve_banded(3, [2], [0], [0.5], np.ones(3))
+        assert x.tolist() == [1.0, 1.0, 1.5]
