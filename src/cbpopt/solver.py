@@ -295,8 +295,10 @@ def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
     current one can come out an ulp below the value under one policy and the
     other way round under the next; once a sweep would bring a policy back,
     a state must from then on also beat its current row's one-jump value,
-    which in exact arithmetic equals its value.  Yields ``(record, improved
-    rows, changed states)`` per sweep.
+    which in exact arithmetic equals its value.  Values never rise in exact
+    arithmetic, so a policy that still comes back differs from the current
+    one by rounding alone, and the loop stops at the current one.  Yields
+    ``(record, improved rows, changed states)`` per sweep.
     """
     bound = math.prod(np.diff(rows.state_ptr, append=len(rows.actions)).tolist())
     seen = set()
@@ -309,15 +311,22 @@ def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
         best = best[: len(values)]
         current = cand[chosen[: len(values)]]
         improved = _improved(chosen, best, first, np.minimum(values, current) if tied else values)
-        if not tied and (improved != chosen).any() and improved.tobytes() in seen:
+        if not tied and _revisits(improved, chosen, seen):
             tied = True
             improved = _improved(chosen, best, first, np.minimum(values, current))
+        if tied and _revisits(improved, chosen, seen):
+            improved = chosen
         changed = np.flatnonzero(improved != chosen)
         yield record, improved, changed
         if not len(changed):
             return
         chosen = improved
     raise IterationBound(f"no fixed point within the {bound} distinct policies; this is a defect")
+
+
+def _revisits(improved: np.ndarray, chosen: np.ndarray, seen: set) -> bool:
+    """Whether ``improved`` moves away from ``chosen`` to a policy in ``seen``."""
+    return bool((improved != chosen).any()) and improved.tobytes() in seen
 
 
 def _improved(chosen: np.ndarray, best: np.ndarray, first: np.ndarray, floor: np.ndarray):

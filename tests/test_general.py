@@ -163,14 +163,11 @@ class TestAvoidableStates:
             value_iterate(truncated, tol=residual / 2)
 
 
-@st.composite
-def _far_jumping_model(draw):
+def far_jumping_model(rng, n):
     """States 0..n and a cemetery, 0 the target.  Each row jumps 1 to 3
     states down (below 0 into the target) and may jump up to 2 states up
     (past n into the cemetery), so every policy reaches the target with
     positive probability and the lower band of a policy is up to 3."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 12))
     rows = {}
     for i in range(1, n + 1):
         for a in "abc"[: int(rng.integers(1, 4))]:
@@ -183,9 +180,22 @@ def _far_jumping_model(draw):
     return validate_general_model([*range(n + 1), CEMETERY], [0], CEMETERY, rows)
 
 
+@st.composite
+def _far_jumping_model(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return far_jumping_model(rng, draw(st.integers(1, 12)))
+
+
 @given(_far_jumping_model())
 @settings(max_examples=100, deadline=None)
 def test_rows_jumping_three_states_down_are_solved_exactly(model):
+    assert_exact_for_policy(model, value_iterate(model))
+
+
+def test_rounding_cycle_through_several_policies_stops():
+    # Even under the tie rule, policy iteration here goes back and forth
+    # between two policies whose values differ only in the last bits.
+    model = far_jumping_model(np.random.default_rng(122), 12)
     assert_exact_for_policy(model, value_iterate(model))
 
 

@@ -5,12 +5,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cbpopt.sim as sim
 from cbpopt import (
+    CENSORED_JUMPS,
+    EXTINCT,
     SimCaps,
     brute_force,
     cbp_truncate,
-    estimate_ep,
     solve,
+    validate_cbp_model,
     value_iterate,
     wilson_interval,
     zero_death_cutoff,
@@ -43,9 +46,41 @@ def test_oracles_agree_with_solve(case):
     # A walk at or above a no-death head state never dies and may run to the
     # jump cap before it passes the level: too slow, so that case is skipped.
     if zero_death_cutoff(model) > model.m:
-        # Passing the level is exactly a jump into the truncation's cemetery,
-        # so the extinct count is Binomial(n, truncated value at 1).
-        caps = SimCaps(max_jumps=10**5, max_pop=level)
-        estimate = estimate_ep(model, f, 1, TRAJECTORIES, caps, seed)
-        low, high = wilson_interval(TRAJECTORIES - estimate.censored, TRAJECTORIES, z=6.0)
-        assert low <= truncated[1] <= high
+        assert_walks_bracket(model, f, level, truncated[1], 10**5, seed)
+
+
+def assert_walks_bracket(model, f, level, value, max_jumps, seed):
+    """Passing the level is exactly a jump into the truncation's cemetery, so
+    ``value``, the truncated value at 1, is the chance that a walk from 1
+    dies first.  A walk that dies within the jump cap does so, and one that
+    does so dies within the cap or reaches it: the extinct count, and the
+    extinct and jump-capped count together, are binomial with chances at
+    most and at least ``value``."""
+    caps = SimCaps(max_jumps=max_jumps, max_pop=level)
+    parts = sim._outcomes(model, f, 1, caps, seed, 0, TRAJECTORIES)
+    result = np.concatenate([part[0] for part in parts])
+    extinct = int(np.count_nonzero(result == sim._RESULTS.index(EXTINCT)))
+    capped = int(np.count_nonzero(result == sim._RESULTS.index(CENSORED_JUMPS)))
+    low = wilson_interval(extinct, TRAJECTORIES, z=6.0)[0]
+    high = wilson_interval(extinct + capped, TRAJECTORIES, z=6.0)[1]
+    assert low <= value <= high
+
+
+def test_walks_that_reach_the_jump_cap_are_bracketed():
+    # The head pushes walks up and the tail pulls them down, so most walks
+    # from 1 neither die nor pass the level within the jump cap.
+    model = validate_cbp_model(
+        4,
+        {1: ["a1", "a3"], 2: ["a1", "a3"], 3: ["a1", "a2", "a4"], 4: ["a3"]},
+        ["a1"],
+        {
+            "a1": {0: 2.6365855947333072, 2: 1.7589166315881206},
+            "a2": {0: 0.2979095317956331, 2: 1.470309096359623, 3: 1.9403663124922124},
+            "a3": {0: 0.3415991615193628, 2: 0.8245459178008059, 3: 2.9283256911240314},
+            "a4": {0: 1.4785810422307195, 2: 1.1768919824940562, 3: 2.833301019937671},
+        },
+    )
+    f = solve(model).optimal_policy
+    level = model.m + 30
+    truncated = value_iterate(cbp_truncate(model, f, level)).values
+    assert_walks_bracket(model, f, level, truncated[1], 1000, 0)
