@@ -9,7 +9,10 @@ command imports its compute modules (``gen_fn``, ``solver``, ``sim``,
 ``general``) once its model file is loaded and validated and its policy spec
 parsed.  So ``rho``, whose roots are pure Python, and every command that fails
 before it computes (unreadable or invalid files, the wrong model kind, a
-malformed policy spec) never import numpy.
+malformed policy spec, ``brute`` over its cap) never import numpy.  Neither
+do ``solve``, ``evaluate``, ``brute`` and ``general`` on a model whose
+compiled one-jump operator has fewer than ``embedded.LIST_ENTRIES`` entries;
+``simulate`` always does.
 """
 
 from __future__ import annotations

@@ -16,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from .embedded import JumpRows
+from .embedded import JumpRows, compile_rows
 from .errors import NumericalError
-from .linsys import solve_banded
 from .model import CbpModel, GeneralModel, State, validate_general_model
 from .solver import Policy, _policy_iteration, validate_policy
 
@@ -74,33 +71,23 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
     index = {s: pos for pos, s in enumerate(interior)}
     actions: list[str] = []
     state_ptr: list[int] = []
-    ent_row: list[int] = []
-    ent_col: list[int] = []
-    ent_weight: list[float] = []
+    entries: list[list[tuple[int, float]]] = []
     for s in interior:
         state_ptr.append(len(actions))
         for a in model.actions_at(s):
             exit_rate = model.exit_rates[(s, a)]
             const = 0.0
+            row = []
             for j, rate in model.rows[(s, a)].items():
                 if j in model.target:
                     const += rate / exit_rate
                 elif j in index:
-                    ent_row.append(len(actions))
-                    ent_col.append(index[j])
-                    ent_weight.append(rate / exit_rate)
+                    row.append((index[j], rate / exit_rate))
             if const > 0.0:
-                ent_row.append(len(actions))
-                ent_col.append(len(interior))
-                ent_weight.append(const)
+                row.append((len(interior), const))
+            entries.append(row)
             actions.append(a)
-    return interior, JumpRows(
-        actions=tuple(actions),
-        state_ptr=np.asarray(state_ptr, dtype=np.int64),
-        ent_row=np.asarray(ent_row, dtype=np.int64),
-        ent_col=np.asarray(ent_col, dtype=np.int64),
-        ent_weight=np.asarray(ent_weight, dtype=float),
-    ), avoiding
+    return interior, compile_rows(tuple(actions), state_ptr, entries), avoiding
 
 
 def value_iterate(
@@ -114,25 +101,26 @@ def value_iterate(
     start from their smallest-id action and improve as in ``solve``.  The
     values are certified by the optimality-equation residual, and one above
     ``tol`` is a NumericalError.  ``trace``, when a list is given, collects
-    the values of every evaluated policy at the states that are not avoiding.
+    the values of every evaluated policy at the states that are not avoiding,
+    as a list of floats.
     """
     interior, rows, avoiding = _compile(model)
     n = len(interior)
 
     def evaluate(chosen):
-        x = solve_banded(n, *rows.triplets(chosen))
-        x = np.append(np.clip(x, 0.0, 1.0), 1.0)
+        x = rows.evaluate(chosen, residual=False)[0]
         if trace is not None:
-            trace.append(x[:n])
-        return x, x[:n], x
+            trace.append(x)
+        held = rows.vector([*x, 1.0])
+        return (x, held), held[:n], held
 
     sweeps = list(_policy_iteration(rows, rows.state_ptr, evaluate))
-    x, chosen, _ = sweeps[-1]
-    residual = float(np.abs(x[:n] - rows.argmin(x)[0]).max(initial=0.0))
+    (x, held), chosen, _ = sweeps[-1]
+    residual = rows.oe_residual(held[:n], held, n)
     if not residual <= tol:
         raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds tol {tol:.3e}")
     values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
-    values.update(zip(interior, x[:n].tolist()))
+    values.update(zip(interior, x))
     policy = {**avoiding, **dict(zip(interior, rows.played(chosen)))}
     return HittingSolution(values, policy, iterations=len(sweeps), oe_residual=residual)
 

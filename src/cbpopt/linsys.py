@@ -4,18 +4,24 @@ Every solve is one pivoted elimination inside the band of U,
 :func:`solve_banded`, which works from U's nonzero entries in O(n p (p + q))
 time and O(n (p + q)) memory, p and q being the lower and upper bandwidths.
 A policy's head system is upper Hessenberg (p = 1) with a narrow upper band;
-general-model policies whose jumps go two or more states down widen p.
-:func:`solve_unit` hands a dense U to the same kernel.
+general-model policies whose jumps go two or more states down widen p.  The
+band is set up in plain Python from entry lists or by numpy from arrays, and
+the elimination itself is plain Python, so this module loads numpy only when
+it is handed arrays.  :func:`solve_unit` hands a dense U to the same kernel.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain, repeat
+from typing import TYPE_CHECKING
 
 from .errors import SingularSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # A pivot below this fraction of the largest initial entry is a breakdown.
 PIVOT_RTOL = 1e-12
@@ -29,6 +35,8 @@ class UnitSystem:
     c: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         U = np.array(self.U, dtype=float)
         c = np.array(self.c, dtype=float)
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -56,6 +64,8 @@ def has_invertible_structure(U) -> bool:
     the first row sums to strictly less than one with the remaining rows at
     most one, and every subdiagonal entry is strictly positive.
     """
+    import numpy as np
+
     U = np.asarray(U, dtype=float)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         return False
@@ -77,14 +87,16 @@ def has_invertible_structure(U) -> bool:
     return True
 
 
-def solve_unit(system: UnitSystem) -> np.ndarray:
+def solve_unit(system: UnitSystem):
     """Solve (I - U) x = c for a dense U by :func:`solve_banded` on its
-    nonzero entries."""
+    nonzero entries; returns a numpy array."""
+    import numpy as np
+
     rows, cols = np.nonzero(system.U)
-    return solve_banded(system.n, rows, cols, system.U[rows, cols], system.c)
+    return np.array(solve_banded(system.n, rows, cols, system.U[rows, cols], system.c))
 
 
-def solve_banded(n: int, row, col, weight, c) -> np.ndarray:
+def solve_banded(n: int, row, col, weight, c) -> list[float]:
     """Solve (I - U) x = c by Gaussian elimination with partial pivoting,
     for the n x n matrix U given by its entries ``U[row[e], col[e]] =
     weight[e]``, every other entry zero.  Each (row, col) appears at most
@@ -100,28 +112,67 @@ def solve_banded(n: int, row, col, weight, c) -> np.ndarray:
     p + q + 1 entries from column row - p on, so no n x n array is built, and
     back substitution sums each row's band in column order.
 
+    Entries given as lists or tuples are placed in the band in plain Python,
+    numpy arrays by numpy; both give the same band, and one elimination in
+    plain Python runs on it.
+
     Raises SingularSystem when the chosen pivot falls below ``PIVOT_RTOL``
     times the largest entry of I - U, which signals that the system's
     invertibility hypotheses do not hold.
     """
     if n == 0:
-        return np.zeros(0)
+        return []
+    setup = _list_band if isinstance(row, (list, tuple)) else _array_band
+    return _eliminate(n, *setup(n, row, col, weight, c))
+
+
+def _list_band(n: int, row, col, weight, c) -> tuple:
+    """The band rows of I - U, c padded with p zeros, p and the largest
+    entry of I - U, from entry lists."""
+    offsets = list(map(operator.sub, col, row))
+    p = max(1, -min(offsets, default=0))
+    width = max(0, max(offsets, default=0)) + p + 1
+    unit = [0.0] * width
+    unit[p] = 1.0
+    # Rows n..n+p-1 are zero rows below the last, so the last p columns run
+    # the same steps as the others.
+    A = list(map(list.copy, repeat(unit, n)))
+    A += [[0.0] * width for _ in range(p)]
+    for r, d, w in zip(row, offsets, weight):
+        A[r][d + p] -= w
+    if 0 in offsets:
+        scale = max(map(abs, chain.from_iterable(A)))
+    else:  # a unit diagonal and the entries' negatives
+        scale = max(1.0, max(map(abs, weight), default=0.0))
+    x = list(map(float, c))
+    x += [0.0] * p
+    return A, x, p, scale
+
+
+def _array_band(n: int, row, col, weight, c) -> tuple:
+    """:func:`_list_band` from numpy arrays."""
+    import numpy as np
+
     row = np.asarray(row, dtype=np.int64)
     offset = np.asarray(col, dtype=np.int64) - row
     p = max(1, -int(offset.min(initial=0)))
     q = int(offset.max(initial=0))
-    # Rows n..n+p-1 are zero rows below the last, so the last p columns run
-    # the same steps as the others.
     A = np.zeros((n + p, p + q + 1))
     A[:n, p] = 1.0
     A[row, offset + p] -= weight
-    scale = float(np.abs(A).max())
+    x = np.asarray(c, dtype=float).tolist()
+    x += [0.0] * p
+    return A.tolist(), x, p, float(np.abs(A).max())
+
+
+def _eliminate(n: int, A: list, x: list, p: int, scale: float) -> list[float]:
+    """The elimination of :func:`solve_banded` on the band rows ``A`` of
+    I - U, each held from column row - p on, with right-hand side ``x``."""
     if scale == 0.0:
         raise SingularSystem("coefficient matrix is identically zero")
     threshold = PIVOT_RTOL * scale
-    A = A.tolist()
-    x = np.asarray(c, dtype=float).tolist()
-    x += [0.0] * p
+    width = len(A[0])
+    shifted = range(1, width)  # a row's entries from its second column on
     # cur holds row k and mid rows k+1..k+p-1 over columns k..k+p+q; the
     # untouched row k+p, stored from column k on, is the last candidate.
     cur = A[0][p:] + [0.0] * p
@@ -150,21 +201,19 @@ def solve_banded(n: int, row, col, weight, c) -> np.ndarray:
         done.append(cur)
         factor = below[0] / pivot
         x[k + p] -= factor * x[k]
-        below = [b - factor * a for a, b in zip(cur, below)]
-        del below[0]
+        below = [below[i] - factor * cur[i] for i in shifted]
         below.append(0.0)
         if mid:
             for j, r in enumerate(mid, 1):
                 factor = r[0] / pivot
                 x[k + j] -= factor * x[k]
-                r = [b - factor * a for a, b in zip(cur, r)]
-                del r[0]
+                r = [r[i] - factor * cur[i] for i in shifted]
                 r.append(0.0)
                 mid[j - 1] = r
             mid.append(below)
             below = mid.pop(0)
         cur = below
-    later = deque(maxlen=p + q)  # x[i + 1 : i + p + q + 1]
+    later = deque(maxlen=width - 1)  # x[i + 1 : i + p + q + 1]
     for i in range(n - 1, -1, -1):
         entries = iter(done[i])
         pivot = next(entries)
@@ -173,4 +222,5 @@ def solve_banded(n: int, row, col, weight, c) -> np.ndarray:
             total += a * v
         x[i] = (x[i] - total) / pivot
         later.appendleft(x[i])
-    return np.array(x[:n])
+    del x[n:]
+    return x

@@ -15,14 +15,11 @@ policy at most once.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
-from . import gen_fn
-from .embedded import JumpRows, tail_weight
+from . import embedded, gen_fn
+from .embedded import ArrayRows, JumpRows, tail_weight
 from .errors import (
     IterationBound,
     InadmissibleAction,
@@ -30,7 +27,6 @@ from .errors import (
     SingularSystem,
     TooManyPolicies,
 )
-from .linsys import solve_banded
 from .model import CbpModel
 
 GEOMETRIC = "geometric"
@@ -166,18 +162,45 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     probabilities, landings from m on fold into state m's column through the
     tail weight, and extinction from state 1 goes to the target column.  Each row
     adds its target mass first, its in-head terms in ascending order and its
-    tail term last.
+    tail term last.  Every row has an entry, so a head of ``LIST_ENTRIES``
+    rows or more is compiled by numpy straight away; a smaller one is
+    compiled in plain Python, and :func:`embedded.compile_rows` picks its
+    backend by the entry count.
     """
-    m = model.m
     actions = tuple(a for choices in model.admissible for a in choices)
-    sizes = [len(choices) for choices in model.admissible]
-    row_state = np.repeat(np.arange(1, m + 1), sizes)
-    row_action = np.asarray(actions)
+    state_ptr = list(itertools.accumulate(map(len, model.admissible[:-1]), initial=0))
+    if len(actions) >= embedded.LIST_ENTRIES:
+        return _head_arrays(model, rho_star_value, actions, state_ptr)
+    m = model.m
+    mechs = {a: model.mechanism(a) for a in set(actions)}
+    pmfs = {a: mech.offspring_pmf().items() for a, mech in mechs.items()}
+    entries = []
+    for i, choices in enumerate(model.admissible, 1):
+        for a in choices:
+            row = []
+            for k, p in pmfs[a]:
+                landing = i - 1 + k
+                if landing < m:
+                    row.append((landing - 1 if landing else m, p))
+            if i - 1 + mechs[a].max_k >= m:
+                row.append((m - 1, tail_weight(mechs[a], i, m, rho_star_value)))
+            entries.append(row)
+    return embedded.compile_rows(actions, state_ptr, entries)
+
+
+def _head_arrays(model: CbpModel, rho_star_value: float, actions, state_ptr) -> ArrayRows:
+    """:func:`_head_rows` by numpy, for large heads."""
+    import numpy as np
+
+    m = model.m
+    code = {a: c for c, a in enumerate(sorted(set(actions)))}
+    row_code = np.fromiter(map(code.__getitem__, actions), np.int64, len(actions))
+    row_state = np.repeat(np.arange(1, m + 1), [len(choices) for choices in model.admissible])
     ent_row, ent_col, ent_weight = [], [], []
     tail_rows, tail_weights = [], []
-    for a in sorted(set(actions)):
+    for a, c in code.items():
         mech = model.mechanism(a)
-        rows = np.flatnonzero(row_action == a)
+        rows = np.flatnonzero(row_code == c)
         ks = np.fromiter(mech.support, dtype=np.int64, count=len(mech.support))
         ps = np.fromiter(mech.offspring_pmf().values(), dtype=float, count=len(ks))
         landing = row_state[rows, None] - 1 + ks
@@ -191,12 +214,12 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     ent_row.append(np.asarray(tail_rows, dtype=np.int64))
     ent_col.append(np.full(len(tail_rows), m - 1))
     ent_weight.append(np.asarray(tail_weights, dtype=float))
-    return JumpRows(
-        actions=actions,
-        state_ptr=np.cumsum([0] + sizes[:-1]),
-        ent_row=np.concatenate(ent_row),
-        ent_col=np.concatenate(ent_col),
-        ent_weight=np.concatenate(ent_weight),
+    return ArrayRows(
+        actions,
+        state_ptr,
+        np.concatenate(ent_row),
+        np.concatenate(ent_col),
+        np.concatenate(ent_weight),
     )
 
 
@@ -213,19 +236,13 @@ def _policy_rows(rows: JumpRows, f: Policy, no_death: frozenset):
 
 def _evaluate(model, rows, f, rho_star, no_death) -> ExtinctionProfile:
     chosen, kind, i0 = _policy_rows(rows, f, no_death)
-    size = len(chosen)
     try:
-        x = solve_banded(size, *rows.triplets(chosen))
+        head, residual = rows.evaluate(chosen)
     except SingularSystem as exc:
         label = "geometric-tail" if kind == GEOMETRIC else "zero-tail"
         raise SingularSystem(
-            f"policy evaluation ({label} case, {size}-state system): {exc}"
+            f"policy evaluation ({label} case, {len(chosen)}-state system): {exc}"
         ) from exc
-    values = np.zeros(rows.n + 1)
-    values[:size] = x
-    values[-1] = 1.0
-    residual = float(np.abs(x - rows.candidates(values)[chosen]).max()) if size else 0.0
-    head = np.clip(x, 0.0, 1.0).tolist()
     if kind == GEOMETRIC:
         return ExtinctionProfile(
             head_values=tuple(head),
@@ -251,15 +268,15 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     return _evaluate(model, _head_rows(model, rho_star), f, rho_star, _no_death_actions(model))
 
 
-def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> tuple:
+def _held(model: CbpModel, rows: JumpRows, profile: ExtinctionProfile, cutoff: int) -> tuple:
     """Head values, and the value vector of the one-jump operator: the same
-    values held at zero from ``cutoff`` on, then the target's 1."""
+    values held at zero from ``cutoff`` on, then the target's 1; both as
+    vectors of ``rows``."""
     if profile.m != model.m:
         raise ValueError(f"profile covers {profile.m} states but the model has m={model.m}")
-    values = np.array(profile.head_values, dtype=float)
-    held = np.append(values, 1.0)
-    held[cutoff - 1 : model.m] = 0.0
-    return values, held
+    kept = min(cutoff - 1, model.m)
+    held = [*profile.head_values[:kept], *[0.0] * (model.m - kept), 1.0]
+    return rows.vector(profile.head_values), rows.vector(held)
 
 
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
@@ -278,13 +295,13 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
     rows = _head_rows(model, rho_star_value)
-    values, held = _held(model, profile, cutoff)
+    values, held = _held(model, rows, profile, cutoff)
     chosen = rows.rows_playing(f.head)
     _, improved, _ = next(_policy_iteration(rows, chosen, lambda _: (None, values[:cutoff], held)))
     return Policy(head=rows.played(improved), tail=f.tail)
 
 
-def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
+def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
     """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
 
     ``evaluate(chosen)`` returns a record of the policy playing rows
@@ -300,53 +317,35 @@ def _policy_iteration(rows: JumpRows, chosen: np.ndarray, evaluate):
     one by rounding alone, and the loop stops at the current one.  Yields
     ``(record, improved rows, changed states)`` per sweep.
     """
-    bound = math.prod(np.diff(rows.state_ptr, append=len(rows.actions)).tolist())
+    bound = rows.policy_count()
     seen = set()
     tied = False
     for _ in range(bound):
-        seen.add(chosen.tobytes())
+        seen.add(tuple(chosen))
         record, values, held = evaluate(chosen)
-        cand = rows.candidates(held)
-        best, first = rows.least(cand)
-        best = best[: len(values)]
-        current = cand[chosen[: len(values)]]
-        improved = _improved(chosen, best, first, np.minimum(values, current) if tied else values)
-        if not tied and _revisits(improved, chosen, seen):
-            tied = True
-            improved = _improved(chosen, best, first, np.minimum(values, current))
-        if tied and _revisits(improved, chosen, seen):
-            improved = chosen
-        changed = np.flatnonzero(improved != chosen)
+        improved, changed = rows.improve(chosen, values, held, tied)
+        if changed and tuple(improved) in seen:
+            if not tied:
+                tied = True
+                improved, changed = rows.improve(chosen, values, held, tied)
+            if changed and tuple(improved) in seen:
+                improved, changed = chosen, []
         yield record, improved, changed
-        if not len(changed):
+        if not changed:
             return
         chosen = improved
     raise IterationBound(f"no fixed point within the {bound} distinct policies; this is a defect")
-
-
-def _revisits(improved: np.ndarray, chosen: np.ndarray, seen: set) -> bool:
-    """Whether ``improved`` moves away from ``chosen`` to a policy in ``seen``."""
-    return bool((improved != chosen).any()) and improved.tobytes() in seen
-
-
-def _improved(chosen: np.ndarray, best: np.ndarray, first: np.ndarray, floor: np.ndarray):
-    """``chosen`` with each leading state whose best is below ``floor``
-    moved to its first best row."""
-    better = np.flatnonzero(best < floor)
-    improved = chosen.copy()
-    improved[better] = first[better]
-    return improved
 
 
 def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
     def evaluate(chosen):
         g = Policy(rows.played(chosen), f.tail)
         profile = _evaluate(model, rows, g, rho_star_value, no_death)
-        values, held = _held(model, profile, cutoff)
+        values, held = _held(model, rows, profile, cutoff)
         return (g, profile), values[:cutoff], held
 
     sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
-    return [IterationRecord(*r, tuple((changed + 1).tolist())) for r, _, changed in sweeps]
+    return [IterationRecord(*r, tuple(s + 1 for s in changed)) for r, _, changed in sweeps]
 
 
 def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> SolveReport:
@@ -373,13 +372,13 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
     _, rows, records = solves[roots.rho_star]
     final = records[-1]
     for a, _, alt in solves.values():
-        gaps = np.abs(np.subtract(alt[-1].profile.head_values, final.profile.head_values))
-        bad = np.flatnonzero(gaps > _TIE_PROFILE_TOL)
-        if len(bad):
-            raise NumericalError(
-                f"tied tail actions {roots.a_star!r} and {a!r} disagree at"
-                f" state {bad[0] + 1} by {gaps[bad[0]]:.3e}"
-            )
+        gaps = zip(alt[-1].profile.head_values, final.profile.head_values)
+        for i, gap in enumerate((abs(u - v) for u, v in gaps), 1):
+            if gap > _TIE_PROFILE_TOL:
+                raise NumericalError(
+                    f"tied tail actions {roots.a_star!r} and {a!r} disagree at"
+                    f" state {i} by {gap:.3e}"
+                )
     dont_care = tuple(range(cutoff + 1, model.m + 1))
     return SolveReport(
         optimal_policy=final.policy,
@@ -395,10 +394,8 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
 
 
 def _oe_residual(model, rows, profile, cutoff) -> float:
-    values, held = _held(model, profile, cutoff)
-    best = rows.argmin(held)[0]
-    best[cutoff - 1 :] = 0.0
-    return float(np.abs(values - best).max())
+    values, held = _held(model, rows, profile, cutoff)
+    return rows.oe_residual(values, held, cutoff - 1)
 
 
 def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:

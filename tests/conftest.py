@@ -16,10 +16,13 @@ from hypothesis import strategies as st
 
 import cbpopt
 from cbpopt import (
+    CEMETERY,
     BranchingMechanism,
     CbpModel,
+    GeneralModel,
     eval_gen_fn,
     validate_cbp_model,
+    validate_general_model,
     validate_mechanism,
 )
 
@@ -152,6 +155,23 @@ def random_cbp_model(
     admissible = {i: pick(int(rng.integers(1, max_actions + 1))) for i in range(1, m + 1)}
     tail = pick(int(rng.integers(1, max_actions + 1)))
     return validate_cbp_model(m, admissible, tail, mechanisms)
+
+
+def far_jumping_model(rng: np.random.Generator, n: int) -> GeneralModel:
+    """States 0..n and a cemetery, 0 the target.  Each row jumps 1 to 3
+    states down (below 0 into the target) and may jump up to 2 states up
+    (past n into the cemetery), so every policy reaches the target with
+    positive probability and the lower band of a policy is up to 3."""
+    rows = {}
+    for i in range(1, n + 1):
+        for a in "abc"[: int(rng.integers(1, 4))]:
+            row, down = {}, -int(rng.integers(1, 4))
+            for step in range(-3, 3):
+                if step == down or (step != 0 and rng.random() < 0.4):
+                    j = CEMETERY if i + step > n else max(i + step, 0)
+                    row[j] = row.get(j, 0.0) + float(rng.uniform(0.1, 3.0))
+            rows[(i, a)] = row
+    return validate_general_model([*range(n + 1), CEMETERY], [0], CEMETERY, rows)
 
 
 # Hypothesis strategies ------------------------------------------------------

@@ -388,20 +388,31 @@ class TestCommands:
         assert capsys.readouterr().out == plain
 
 
+def _bundled(name: str) -> str:
+    return (Path(__file__).parent.parent / "models" / name).read_text()
+
+
 @pytest.mark.parametrize(
     ("argv", "doc", "code"),
     [
-        (["rho"], TWO_ACTION, 0),
-        (["simulate"], "{not json", 1),
-        (["solve"], _cbp_with(b={"0": 1.0, "1": 1.0, "2": 2.0}), 1),
-        (["general"], TWO_ACTION, 1),
-        (["evaluate", "--policy", "1:"], TWO_ACTION, 3),
+        pytest.param(["rho"], TWO_ACTION, 0, id="rho"),
+        pytest.param(["simulate"], "{not json", 1, id="invalid_json"),
+        pytest.param(["solve"], _cbp_with(b={"0": 1.0, "1": 1.0, "2": 2.0}), 1, id="k_equals_1"),
+        pytest.param(["general"], TWO_ACTION, 1, id="general_on_cbp"),
+        pytest.param(["evaluate", "--policy", "1:"], TWO_ACTION, 3, id="malformed_policy"),
+        *[
+            pytest.param([command], _bundled(f"{name}.json"), 0, id=f"{command}_{name}")
+            for command in ("solve", "evaluate", "brute")
+            for name in ("two_action", "zero_death")
+        ],
+        pytest.param(["general"], _bundled("general_split.json"), 0, id="general_general_split"),
+        pytest.param(["brute", "--cap", "1"], _bundled("two_action.json"), 3, id="brute_over_cap"),
     ],
-    ids=["rho", "invalid_json", "k_equals_1", "general_on_cbp", "malformed_policy"],
 )
 def test_command_does_not_import_numpy(tmp_path, argv, doc, code):
-    # Root finding is pure Python, and a command that fails before it
-    # computes has no use for numpy; importing it would double the start-up.
+    # Root finding is pure Python, small models compile to plain-Python
+    # rows, and a command that fails before it computes has no use for
+    # numpy; importing it would double the start-up.
     path = tmp_path / "model.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     script = (

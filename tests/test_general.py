@@ -14,7 +14,7 @@ from cbpopt import (
     validate_general_model,
     value_iterate,
 )
-from conftest import random_cbp_model
+from conftest import far_jumping_model, random_cbp_model
 
 
 @pytest.fixture
@@ -79,9 +79,10 @@ class TestValueIterate:
             ["b"],
             {"a": {0: 3.0, 2: 1.0}, "b": {0: 1.0, 2: 2.0}},
         )
-        trace: list[np.ndarray] = []
+        trace: list[list[float]] = []
         solution = value_iterate(cbp_truncate(model, None, 40), trace=trace)
         assert len(trace) == solution.iterations >= 2
+        trace = [np.asarray(x) for x in trace]
         for earlier, later in zip(trace, trace[1:]):
             assert np.all(later <= earlier + 1e-15)
         for x in trace:
@@ -161,23 +162,6 @@ class TestAvoidableStates:
         assert residual > 0.0
         with pytest.raises(NumericalError, match="residual"):
             value_iterate(truncated, tol=residual / 2)
-
-
-def far_jumping_model(rng, n):
-    """States 0..n and a cemetery, 0 the target.  Each row jumps 1 to 3
-    states down (below 0 into the target) and may jump up to 2 states up
-    (past n into the cemetery), so every policy reaches the target with
-    positive probability and the lower band of a policy is up to 3."""
-    rows = {}
-    for i in range(1, n + 1):
-        for a in "abc"[: int(rng.integers(1, 4))]:
-            row, down = {}, -int(rng.integers(1, 4))
-            for step in range(-3, 3):
-                if step == down or (step != 0 and rng.random() < 0.4):
-                    j = CEMETERY if i + step > n else max(i + step, 0)
-                    row[j] = row.get(j, 0.0) + float(rng.uniform(0.1, 3.0))
-            rows[(i, a)] = row
-    return validate_general_model([*range(n + 1), CEMETERY], [0], CEMETERY, rows)
 
 
 @st.composite

@@ -225,7 +225,11 @@ def banded_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
     # Entries in reverse row-major order: the kernel must not depend on it.
     row, col = np.nonzero(U)
     row, col = row[::-1], col[::-1]
-    return solve_banded(len(c), row, col, U[row, col], c)
+    x = np.array(solve_banded(len(c), row, col, U[row, col], c))
+    # The band set up in plain Python from lists is numpy's, bit for bit.
+    listed = solve_banded(len(c), row.tolist(), col.tolist(), U[row, col].tolist(), c.tolist())
+    assert np.array(listed).tobytes() == x.tobytes()
+    return x
 
 
 class TestHessenberg:
@@ -304,4 +308,4 @@ class TestHessenberg:
             banded_solve(np.eye(3), np.ones(3))
         # An entry two below the diagonal widens the lower band to 2.
         x = solve_banded(3, [2], [0], [0.5], np.ones(3))
-        assert x.tolist() == [1.0, 1.0, 1.5]
+        assert x == [1.0, 1.0, 1.5]
