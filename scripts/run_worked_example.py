@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end run on the bundled two-action model.
 
-Solves for the optimal policy with a full trace, enumerates both head
-policies, and cross-checks every exact value against Monte Carlo.
+Solves for the optimal policy from the worse start with a full trace,
+enumerates both head policies, and cross-checks each policy's exact ep(1)
+against a seeded Monte Carlo estimate: the script exits 1 if an exact value
+falls outside its 95% Wilson interval.
 """
 
 import pathlib
 import sys
 
-from cbpopt import (
-    Policy,
-    SimCaps,
-    brute_force_table,
-    estimate_ep,
-    load_model,
-    solve,
-)
+from cbpopt import SimCaps, brute_force_table, estimate_ep, load_model, solve
 
 MODEL = pathlib.Path(__file__).resolve().parent.parent / "models" / "two_action.json"
 
@@ -37,16 +32,18 @@ def main() -> int:
 
     print("\nMonte Carlo cross-check (n = 50000 per policy):")
     caps = SimCaps(max_jumps=20_000, max_pop=300)
-    for head in ("a1", "a2"):
-        estimate = estimate_ep(
-            model, Policy((head,), report.a_star), 1, 50_000, caps, master_seed=1
-        )
+    outside = 0
+    for f, profile in table:
+        estimate = estimate_ep(model, f, 1, 50_000, caps, master_seed=1)
+        inside = estimate.ci_low <= profile.ep(1) <= estimate.ci_high
+        outside += not inside
         print(
-            f"  head {head}: p_hat = {estimate.p_hat:.4f}"
+            f"  head {f.head[0]}: p_hat = {estimate.p_hat:.4f}"
             f"  Wilson [{estimate.ci_low:.4f}, {estimate.ci_high:.4f}]"
             f"  censored = {estimate.censored}"
+            f"  exact {'inside' if inside else 'OUTSIDE'}"
         )
-    return 0
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":

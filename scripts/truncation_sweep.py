@@ -19,7 +19,7 @@ def main() -> int:
     model = validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 2.0}})
     columns = {}
     for level in LEVELS:
-        solution = value_iterate(cbp_truncate(model, None, level), tol=1e-12)
+        solution = value_iterate(cbp_truncate(model, None, level))
         columns[level] = [solution.values[i] for i in STATES]
         print(
             f"level {level}: {solution.iterations} policy-iteration sweeps,"

@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "embedded": "tail_weight",
     "errors": """CbpError EmptyActionSet EntryForKEqualsOne InadmissibleAction
-        IterationBound ModelFileError MZero NegativeRate NoConvergence
-        NonConservativeRow NumericalError RateOverflow SingularSystem
-        TargetNotAbsorbing TooManyPolicies TrivialMechanism UnknownActionId
-        UsageError ValidationError ZeroExitRate""",
+        ModelFileError MZero NegativeRate NoConvergence NonConservativeRow
+        NumericalError RateOverflow SingularSystem TargetNotAbsorbing
+        TooManyPolicies TrivialMechanism UnknownActionId UsageError
+        ValidationError ZeroExitRate""",
     "gen_fn": """CRITICAL SUBCRITICAL SUPERCRITICAL RhoResult RhoStarResult
         criticality eval_gen_fn rho rho_star""",
     "general": "CEMETERY HittingSolution cbp_truncate value_iterate",

@@ -61,13 +61,6 @@ def _seed(raw: str) -> int:
     return value
 
 
-def _positive_float(raw: str) -> float:
-    value = float(raw)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cbpopt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,12 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pop", type=_nonneg_int, default=1_000_000)
     p.add_argument("--seed", type=_seed, default=0)
 
-    p = add("general", "exact minimal hitting probabilities, OE residual at most --tol")
-    # No default for --tol or --cap here: each handler falls back to the
-    # default of the module it imports after the model file is validated.
-    p.add_argument("--tol", type=_positive_float)
+    add("general", "exact minimal hitting probabilities, certified by the OE residual")
 
     p = add("brute", "enumerate every head policy")
+    # No default here: the handler falls back to the solver's default once the
+    # model file is validated.
     p.add_argument("--cap", type=_positive_int)
     return parser
 
@@ -137,6 +129,10 @@ def _profile_doc(profile: ExtinctionProfile) -> dict:
         doc["i0"] = profile.i0
     doc["residual"] = profile.residual
     return doc
+
+
+def _head_text(f: Policy) -> str:
+    return " ".join(f"{i}:{a}" for i, a in enumerate(f.head, 1))
 
 
 def _profile_text(profile: ExtinctionProfile) -> str:
@@ -200,21 +196,19 @@ def _cmd_solve(args):
     from . import solver
 
     report_obj = solver.solve(model, start_head=start)
+    best = report_obj.optimal_policy
     report = {
         "m": model.m,
         "zero_death_cutoff": report_obj.zero_death_cutoff,
         "rho_star": report_obj.rho_star,
         "a_star": report_obj.a_star,
         "tied": list(report_obj.tied),
-        "optimal_policy": _policy_doc(report_obj.optimal_policy),
+        "optimal_policy": _policy_doc(best),
         "optimal_profile": _profile_doc(report_obj.optimal_profile),
         "oe_residual": report_obj.oe_residual,
         "dont_care_states": list(report_obj.dont_care_states),
         "iterations": [_iteration_doc(r) for r in report_obj.iterations],
     }
-    head = " ".join(
-        f"{i}:{report_obj.optimal_policy.head[i - 1]}" for i in range(1, model.m + 1)
-    )
     cutoff_text = (
         "none"
         if report_obj.zero_death_cutoff > model.m
@@ -223,7 +217,7 @@ def _cmd_solve(args):
     lines = [
         f"rho_star = {report_obj.rho_star:.12g} (a_star = {report_obj.a_star})",
         f"zero-death cutoff = {cutoff_text} (m = {model.m})",
-        f"optimal head: {head}   tail: {report_obj.optimal_policy.tail}",
+        f"optimal head: {_head_text(best)}   tail: {best.tail}",
         _profile_text(report_obj.optimal_profile),
         f"optimality-equation residual = {report_obj.oe_residual:.3g}",
         f"iterations = {len(report_obj.iterations)}",
@@ -235,15 +229,13 @@ def _cmd_solve(args):
         )
     if args.trace:
         for num, record in enumerate(report_obj.iterations):
-            head = " ".join(
-                f"{i}:{record.policy.head[i - 1]}" for i in range(1, model.m + 1)
-            )
             improved = (
                 ", improved states " + ",".join(map(str, record.improved_states))
                 if record.improved_states
                 else ", fixed point"
             )
-            lines.append(f"  [{num}] head {head} -> {_profile_text(record.profile)}{improved}")
+            head, profile = _head_text(record.policy), _profile_text(record.profile)
+            lines.append(f"  [{num}] head {head} -> {profile}{improved}")
     return report, "\n".join(lines)
 
 
@@ -260,8 +252,7 @@ def _cmd_evaluate(args):
         "rho_star": roots.rho_star,
         "profile": _profile_doc(profile),
     }
-    head = " ".join(f"{i}:{f.head[i - 1]}" for i in range(1, model.m + 1))
-    human = f"policy head {head} tail {f.tail}\n{_profile_text(profile)}"
+    human = f"policy head {_head_text(f)} tail {f.tail}\n{_profile_text(profile)}"
     return report, human
 
 
@@ -296,8 +287,7 @@ def _cmd_general(args):
     model = _require_general(load_model(args.model))
     from . import general
 
-    tol = general.DEFAULT_TOL if args.tol is None else args.tol
-    solution = general.value_iterate(model, tol=tol)
+    solution = general.value_iterate(model)
     report = {
         "values": {str(s): solution.values[s] for s in model.states},
         "policy": {str(s): solution.policy[s] for s in model.interior_states()},
@@ -326,9 +316,8 @@ def _cmd_brute(args):
     }
     lines = []
     for f, p in table:
-        head = " ".join(f"{i}:{f.head[i - 1]}" for i in range(1, model.m + 1))
         values = " ".join(f"{v:.12g}" for v in p.head_values)
-        lines.append(f"head {head:<30} ep {values}")
+        lines.append(f"head {_head_text(f):<30} ep {values}")
     lines.append("componentwise minimum: " + _profile_text(profile))
     return report, "\n".join(lines)
 

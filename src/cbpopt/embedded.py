@@ -50,11 +50,6 @@ class JumpRows:
     def n(self) -> int:
         return len(self.state_ptr)
 
-    def policy_count(self) -> int:
-        """Number of policies: the product of the states' row counts."""
-        ends = [*self.state_ptr[1:], len(self.actions)]
-        return math.prod(map(operator.sub, ends, self.state_ptr))
-
     def rows_playing(self, choice: Sequence[str]) -> list[int]:
         """Row of each leading state s playing ``choice[s]``, which must be
         one of its actions."""
@@ -63,10 +58,6 @@ class JumpRows:
     def played(self, chosen: Sequence[int]) -> tuple[str, ...]:
         """The action of each row in ``chosen``."""
         return tuple(map(self.actions.__getitem__, chosen))
-
-    def argmin(self, x):
-        """Per-state minimum at x and the first (smallest-id) row attaining it."""
-        return self.least(self.candidates(x))
 
 
 class ListRows(JumpRows):
@@ -138,18 +129,16 @@ class ListRows(JumpRows):
         again = self._values(map(self.entries.__getitem__, chosen), held)
         return head, max(map(abs, map(operator.sub, x, again)), default=0.0)
 
-    def improve(self, chosen, values, held, tied: bool) -> tuple[list[int], list[int]]:
+    def improve(self, chosen, values, held) -> tuple[list[int], list[int]]:
         """``chosen`` with each leading state s < len(values) moved to its
-        first best row at ``held`` where that is strictly below values[s],
-        and with ``tied`` also below its current row's value; and the
-        states that moved."""
+        first best row at ``held`` where that is strictly below values[s];
+        and the states that moved."""
         improved = list(chosen)
         changed = []
         entries = self.entries
         for s, lo, hi in self._choices:
             if s >= len(values):
                 break
-            now = chosen[s]
             best = math.inf
             for r in range(lo, hi):
                 total = 0.0
@@ -157,9 +146,7 @@ class ListRows(JumpRows):
                     total += weight * held[col]
                 if total < best:
                     best, first = total, r
-                if r == now:
-                    current = total
-            if best < values[s] and (not tied or best < current) and first != now:
+            if best < values[s] and first != chosen[s]:
                 improved[s] = first
                 changed.append(s)
         return improved, changed
@@ -167,7 +154,7 @@ class ListRows(JumpRows):
     def oe_residual(self, values, held, zero_from: int) -> float:
         """sup over s of |values[s] - least one-jump value at ``held``|, the
         least value taken as 0 from state ``zero_from`` on."""
-        best = self.argmin(held)[0]
+        best = self.least(self.candidates(held))[0]
         best[zero_from:] = [0.0] * len(best[zero_from:])
         return max(map(abs, map(operator.sub, values, best)), default=0.0)
 
@@ -257,15 +244,12 @@ class ArrayRows(JumpRows):
         defect = float(np.abs(x - self.candidates(held)[chosen]).max()) if k else 0.0
         return head, defect
 
-    def improve(self, chosen, values, held, tied: bool):
+    def improve(self, chosen, values, held):
         """As :meth:`ListRows.improve`."""
         import numpy as np
 
-        cand = self.candidates(held)
-        best, first = self.least(cand)
-        best = best[: len(values)]
-        floor = np.minimum(values, cand[chosen[: len(values)]]) if tied else values
-        better = np.flatnonzero(best < floor)
+        best, first = self.least(self.candidates(held))
+        better = np.flatnonzero(best[: len(values)] < values)
         improved = list(chosen)
         changed = []
         for s, r in zip(better.tolist(), first[better].tolist()):
@@ -276,7 +260,7 @@ class ArrayRows(JumpRows):
 
     def oe_residual(self, values, held, zero_from: int) -> float:
         """As :meth:`ListRows.oe_residual`."""
-        best = self.argmin(held)[0]
+        best = self.least(self.candidates(held))[0]
         best[zero_from:] = 0.0
         return float(abs(values - best).max(initial=0.0))
 

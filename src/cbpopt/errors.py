@@ -86,10 +86,6 @@ class SingularSystem(NumericalError):
     """Pivot breakdown: the linear system's hypotheses do not hold."""
 
 
-class IterationBound(NumericalError):
-    """Policy iteration exceeded its finite bound; indicates a defect."""
-
-
 class UsageError(CbpError):
     """Bad command-line invocation."""
 

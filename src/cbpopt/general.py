@@ -23,7 +23,8 @@ from .solver import Policy, _policy_iteration, validate_policy
 
 CEMETERY = "cemetery"
 
-DEFAULT_TOL = 1e-12
+# Largest optimality-equation residual a solution may carry.
+OE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,17 +91,13 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
     return interior, compile_rows(tuple(actions), state_ptr, entries), avoiding
 
 
-def value_iterate(
-    model: GeneralModel,
-    tol: float = DEFAULT_TOL,
-    trace: list | None = None,
-) -> HittingSolution:
+def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolution:
     """Exact minimal hitting probabilities by policy iteration.
 
     Avoiding states get exactly zero and their avoiding action; the rest
     start from their smallest-id action and improve as in ``solve``.  The
     values are certified by the optimality-equation residual, and one above
-    ``tol`` is a NumericalError.  ``trace``, when a list is given, collects
+    ``OE_TOL`` is a NumericalError.  ``trace``, when a list is given, collects
     the values of every evaluated policy at the states that are not avoiding,
     as a list of floats.
     """
@@ -117,8 +114,8 @@ def value_iterate(
     sweeps = list(_policy_iteration(rows, rows.state_ptr, evaluate))
     (x, held), chosen, _ = sweeps[-1]
     residual = rows.oe_residual(held[:n], held, n)
-    if not residual <= tol:
-        raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds tol {tol:.3e}")
+    if not residual <= OE_TOL:
+        raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds {OE_TOL:.3e}")
     values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
     values.update(zip(interior, x))
     policy = {**avoiding, **dict(zip(interior, rows.played(chosen)))}

@@ -20,13 +20,7 @@ from typing import Mapping
 
 from . import embedded, gen_fn
 from .embedded import ArrayRows, JumpRows, tail_weight
-from .errors import (
-    IterationBound,
-    InadmissibleAction,
-    NumericalError,
-    SingularSystem,
-    TooManyPolicies,
-)
+from .errors import InadmissibleAction, NumericalError, SingularSystem, TooManyPolicies
 from .model import CbpModel
 
 GEOMETRIC = "geometric"
@@ -223,19 +217,16 @@ def _head_arrays(model: CbpModel, rho_star_value: float, actions, state_ptr) -> 
     )
 
 
-def _policy_rows(rows: JumpRows, f: Policy, no_death: frozenset):
-    """The rows behind the policy's head values, its tail kind and i0.
+def _evaluate(model, rows, chosen, rho_star, no_death) -> ExtinctionProfile:
+    """Profile of the policy playing rows ``chosen`` at the head states.
 
     States from the first no-death choice i0 on are exactly zero, so only the
     leading i0 - 1 states are solved; without one all m are.
     """
-    i0 = next((i for i, a in enumerate(f.head, 1) if a in no_death), None)
-    size = f.m if i0 is None else i0 - 1
-    return rows.rows_playing(f.head[:size]), (GEOMETRIC if i0 is None else ZERO), i0
-
-
-def _evaluate(model, rows, f, rho_star, no_death) -> ExtinctionProfile:
-    chosen, kind, i0 = _policy_rows(rows, f, no_death)
+    actions = rows.actions
+    i0 = next((s for s, r in enumerate(chosen, 1) if actions[r] in no_death), None)
+    kind = GEOMETRIC if i0 is None else ZERO
+    chosen = chosen if i0 is None else chosen[: i0 - 1]
     try:
         head, residual = rows.evaluate(chosen)
     except SingularSystem as exc:
@@ -265,7 +256,8 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     of it need a solve.
     """
     validate_policy(model, f)
-    return _evaluate(model, _head_rows(model, rho_star), f, rho_star, _no_death_actions(model))
+    rows = _head_rows(model, rho_star)
+    return _evaluate(model, rows, rows.rows_playing(f.head), rho_star, _no_death_actions(model))
 
 
 def _held(model: CbpModel, rows: JumpRows, profile: ExtinctionProfile, cutoff: int) -> tuple:
@@ -296,8 +288,7 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
     rows = _head_rows(model, rho_star_value)
     values, held = _held(model, rows, profile, cutoff)
-    chosen = rows.rows_playing(f.head)
-    _, improved, _ = next(_policy_iteration(rows, chosen, lambda _: (None, values[:cutoff], held)))
+    improved, _ = rows.improve(rows.rows_playing(f.head), values[:cutoff], held)
     return Policy(head=rows.played(improved), tail=f.tail)
 
 
@@ -307,45 +298,37 @@ def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
     ``evaluate(chosen)`` returns a record of the policy playing rows
     ``chosen``, the values of the leading states open to improvement and the
     value vector ``held``.  Each such state moves to its smallest-id best row
-    at ``held`` only if that is strictly below its value, so in exact
-    arithmetic no policy comes twice.  In floating point a row tied with the
-    current one can come out an ulp below the value under one policy and the
-    other way round under the next; once a sweep would bring a policy back,
-    a state must from then on also beat its current row's one-jump value,
-    which in exact arithmetic equals its value.  Values never rise in exact
-    arithmetic, so a policy that still comes back differs from the current
-    one by rounding alone, and the loop stops at the current one.  Yields
-    ``(record, improved rows, changed states)`` per sweep.
+    at ``held`` only if that is strictly below its value.  Values never rise
+    in exact arithmetic, so no policy comes twice there; a sweep that would
+    bring one back differs from the current policy by rounding alone, and the
+    loop stops at the current one.  Every other sweep adds a policy to
+    ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
+    states)`` per sweep.
     """
-    bound = rows.policy_count()
     seen = set()
-    tied = False
-    for _ in range(bound):
+    while True:
         seen.add(tuple(chosen))
         record, values, held = evaluate(chosen)
-        improved, changed = rows.improve(chosen, values, held, tied)
+        improved, changed = rows.improve(chosen, values, held)
         if changed and tuple(improved) in seen:
-            if not tied:
-                tied = True
-                improved, changed = rows.improve(chosen, values, held, tied)
-            if changed and tuple(improved) in seen:
-                improved, changed = chosen, []
+            improved, changed = chosen, []
         yield record, improved, changed
         if not changed:
             return
         chosen = improved
-    raise IterationBound(f"no fixed point within the {bound} distinct policies; this is a defect")
 
 
 def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
     def evaluate(chosen):
-        g = Policy(rows.played(chosen), f.tail)
-        profile = _evaluate(model, rows, g, rho_star_value, no_death)
+        profile = _evaluate(model, rows, chosen, rho_star_value, no_death)
         values, held = _held(model, rows, profile, cutoff)
-        return (g, profile), values[:cutoff], held
+        return (chosen, profile), values[:cutoff], held
 
     sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
-    return [IterationRecord(*r, tuple(s + 1 for s in changed)) for r, _, changed in sweeps]
+    return [
+        IterationRecord(Policy(rows.played(chosen), f.tail), profile, tuple(s + 1 for s in moved))
+        for (chosen, profile), _, moved in sweeps
+    ]
 
 
 def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> SolveReport:
@@ -427,8 +410,8 @@ def brute_force_table(
     no_death = _no_death_actions(model)
     table = []
     for combo in itertools.product(*model.admissible):
-        f = Policy(head=tuple(combo), tail=roots.a_star)
-        table.append((f, _evaluate(model, rows, f, roots.rho_star, no_death)))
+        profile = _evaluate(model, rows, rows.rows_playing(combo), roots.rho_star, no_death)
+        table.append((Policy(head=combo, tail=roots.a_star), profile))
     m = model.m
     floor = [min(p.head_values[i] for _, p in table) for i in range(m)]
     for _, p in table:

@@ -213,7 +213,7 @@ def test_criterion_8_truncation_cross_check():
     values = None
     ok = True
     for level in (50, 100, 200, 500):
-        solution = value_iterate(cbp_truncate(model, None, level), tol=1e-12)
+        solution = value_iterate(cbp_truncate(model, None, level))
         values = [solution.values[i] for i in range(1, 11)]
         if previous is not None and any(b < a - 1e-12 for a, b in zip(previous, values)):
             ok = False

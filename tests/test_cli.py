@@ -313,14 +313,15 @@ class TestCommands:
         assert abs(report["values"]["1"] - 0.25) < 1e-10
         assert report["policy"]["1"] == "a2"
 
-    def test_general_residual_above_tol_is_numerical(self, tmp_path, capsys):
+    def test_general_residual_above_tol_is_numerical(self, tmp_path, capsys, monkeypatch):
         truncated = cbp_truncate(parse_model(TWO_ACTION), None, 40)
         path = tmp_path / "truncated.json"
         path.write_text(json.dumps(model_to_doc(truncated)))
         assert main(["general", str(path), "--json"]) == 0
         residual = json.loads(capsys.readouterr().out)["oe_residual"]
         assert 0.0 < residual <= 1e-12
-        assert main(["general", str(path), "--tol", f"{residual / 2!r}"]) == 2
+        monkeypatch.setattr("cbpopt.general.OE_TOL", residual / 2)
+        assert main(["general", str(path)]) == 2
         assert "residual" in capsys.readouterr().err
 
     def test_general_requires_general_model(self, cbp_path):
@@ -355,13 +356,12 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["tied"] == ["a1", "a3"]
 
-    def test_negative_tol_is_usage_error(self, general_path):
-        assert main(["general", general_path, "--tol", "-1"]) == 3
-
-    @pytest.mark.parametrize("command", ["rho", "solve"])
-    def test_root_tolerance_is_not_an_option(self, cbp_path, command):
-        # Certified roots stop at a fixed tolerance; only general takes --tol.
-        assert main([command, cbp_path, "--tol", "1e-13"]) == 3
+    @pytest.mark.parametrize("command", ["rho", "solve", "general"])
+    def test_root_tolerance_is_not_an_option(self, cbp_path, general_path, command):
+        # Certified roots stop at a fixed tolerance, and general certifies its
+        # values against the fixed general.OE_TOL.
+        path = general_path if command == "general" else cbp_path
+        assert main([command, path, "--tol", "1e-13"]) == 3
 
     def test_exhaustive_ties_is_not_an_option(self, cbp_path):
         # solve always cross-checks tied tail actions.

@@ -154,14 +154,15 @@ class TestAvoidableStates:
         solution = value_iterate(model)
         assert_exact_for_policy(model, solution)
 
-    def test_tol_below_residual_is_a_numerical_error(self):
+    def test_tol_below_residual_is_a_numerical_error(self, monkeypatch):
         truncated = cbp_truncate(
             validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 2.0}}), None, 40
         )
         residual = value_iterate(truncated).oe_residual
         assert residual > 0.0
+        monkeypatch.setattr("cbpopt.general.OE_TOL", residual / 2)
         with pytest.raises(NumericalError, match="residual"):
-            value_iterate(truncated, tol=residual / 2)
+            value_iterate(truncated)
 
 
 @st.composite
@@ -257,7 +258,7 @@ class TestCbpTruncate:
         exact = [0.5**i for i in range(1, 11)]
         previous = None
         for level in (50, 100, 200):
-            solution = value_iterate(cbp_truncate(single_action_cbp, None, level), tol=1e-12)
+            solution = value_iterate(cbp_truncate(single_action_cbp, None, level))
             values = [solution.values[i] for i in range(1, 11)]
             assert all(v <= e + 1e-12 for v, e in zip(values, exact))
             if previous is not None:
@@ -265,7 +266,7 @@ class TestCbpTruncate:
             previous = values
 
     def test_matches_closed_form_at_large_level(self, single_action_cbp):
-        solution = value_iterate(cbp_truncate(single_action_cbp, None, 200), tol=1e-12)
+        solution = value_iterate(cbp_truncate(single_action_cbp, None, 200))
         for i in range(1, 11):
             assert solution.values[i] == pytest.approx(0.5**i, abs=1e-3)
 
@@ -281,6 +282,6 @@ class TestCbpTruncate:
 
         exact = evaluate_policy(model, Policy(("a2",), "a1"), roots.rho_star)
         truncated = cbp_truncate(model, Policy(("a2",), "a1"), 200)
-        solution = value_iterate(truncated, tol=1e-12)
+        solution = value_iterate(truncated)
         assert solution.values[1] == pytest.approx(exact.ep(1), abs=1e-6)
         assert solution.values[5] == pytest.approx(exact.ep(5), abs=1e-6)

@@ -27,7 +27,7 @@ from cbpopt import (
     zero_death_cutoff,
 )
 from cbpopt import solver
-from cbpopt.solver import _head_rows, _no_death_actions, _policy_rows
+from cbpopt.solver import _head_rows
 from conftest import bisect_min_root, embedded_row, random_cbp_model, random_mechanism_entries
 
 
@@ -78,19 +78,46 @@ class TestNoDeathDecision:
         model, head = case
         assert zero_death_cutoff(model) == _reference_cutoff(model)
         f = Policy(head, model.tail_actions[0])
-        rows = _head_rows(model, 0.5)
-        chosen, kind, i0 = _policy_rows(rows, f, _no_death_actions(model))
+        profile = evaluate_policy(model, f, 0.5)
         reference_i0 = next(
             (i for i, a in enumerate(head, 1) if model.mechanism(a).b0 == 0.0), None
         )
-        assert i0 == reference_i0
-        assert kind == (GEOMETRIC if i0 is None else ZERO)
-        assert len(chosen) == (model.m if i0 is None else i0 - 1)
+        assert profile.i0 == reference_i0
+        assert profile.tail_kind == (GEOMETRIC if reference_i0 is None else ZERO)
+        if reference_i0 is not None:
+            # States from i0 on are padded with exact zeros.
+            assert profile.head_values[reference_i0 - 1 :] == (0.0,) * (
+                model.m - reference_i0 + 1
+            )
         # State s plays its own row of the policy's action.
+        rows = _head_rows(model, 0.5)
         ends = np.append(rows.state_ptr[1:], len(rows.actions))
-        for s, r in enumerate(chosen):
+        for s, r in enumerate(rows.rows_playing(head)):
             assert rows.state_ptr[s] <= r < ends[s]
             assert rows.actions[r] == head[s]
+
+
+class _AlternatingRows:
+    """Rows whose improvement swaps between two policies on every sweep, as a
+    rounding-level tie can."""
+
+    @staticmethod
+    def improve(chosen, values, held):
+        return ([1] if chosen == [0] else [0]), [0]
+
+
+def test_policy_iteration_stops_before_a_repeated_policy():
+    evaluated = []
+
+    def evaluate(chosen):
+        evaluated.append(chosen)
+        return len(evaluated), [0.5], [0.5, 1.0]
+
+    sweeps = list(solver._policy_iteration(_AlternatingRows(), [0], evaluate))
+    assert evaluated == [[0], [1]]
+    # The second sweep would bring [0] back, so it stays at [1] and reports
+    # no change.
+    assert sweeps == [(1, [1], [0]), (2, [1], [])]
 
 
 def _reference_system(model, head, rho_value):
