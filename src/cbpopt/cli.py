@@ -1,7 +1,8 @@
 """Command-line driver: rho | solve | evaluate | simulate | general | brute.
 
-Exit codes: 0 success, 1 model parse/validation failure, 2 numerical failure,
-3 usage error.  ``--json`` replaces the human tables with a byte-stable JSON
+Exit codes: 0 success, 1 model file unreadable or invalid, 2 numerical
+failure, 3 usage error; a reader that closes stdout early is no failure
+(exit 0).  ``--json`` replaces the human tables with a byte-stable JSON
 report.
 
 Only ``errors``, ``model`` and ``modelfile`` load with this module.  Each
@@ -18,7 +19,7 @@ compiled one-jump operator has fewer than ``embedded.LIST_ENTRIES`` entries;
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -337,18 +338,15 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report, human = _HANDLERS[args.command](args)
-        print(dump_json(report) if args.json else human)
+        try:
+            print(dump_json(report) if args.json else human, flush=True)
+        except BrokenPipeError:  # the reader has gone; quiet the final flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except UsageError as exc:  # includes TooManyPolicies
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValidationError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except json.JSONDecodeError as exc:
-        print(f"model error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except OSError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except NumericalError as exc:

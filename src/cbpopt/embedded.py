@@ -8,9 +8,9 @@ the head threshold back into the head system, closing it at finite size.
 operator that policy evaluation, improvement and the optimality-equation
 certificate go through, for branching and general models alike.
 
-The operator has two backends behind one set of methods.  :class:`ListRows`
-keeps each row as a Python list and works in plain Python; :class:`ArrayRows`
-keeps the entries in numpy arrays.  An operator with fewer than
+Those three are written once, over plain lists; a backend keeps only the
+data layout.  :class:`ListRows` keeps each row as a Python list, and
+:class:`ArrayRows` the entries in numpy arrays.  An operator with fewer than
 ``LIST_ENTRIES`` entries is compiled to ``ListRows``, so small models never
 import numpy.  Both backends sum each row in stored order, run the same
 elimination and give the same bits.
@@ -18,8 +18,8 @@ elimination and give the same bits.
 
 from __future__ import annotations
 
-import math
 import operator
+from itertools import compress, count
 from typing import Sequence
 
 from .linsys import solve_banded
@@ -34,12 +34,23 @@ class JumpRows:
     """One-jump operator over n states, one row per (state, action).
 
     Rows are grouped by state, actions in sorted order; ``state_ptr[s]`` is
-    the first row of state s.  A value vector x holds the n state values and
-    then the target's value 1, so column n carries each row's target mass.
-    Each row adds ``weight * x[col]`` over its entries, summed in stored
-    order.  A policy over the leading states is the list ``chosen`` of the
-    row each one plays.  Value vectors are lists in :class:`ListRows` and
-    numpy arrays in :class:`ArrayRows`; :meth:`vector` makes one.
+    the first row of state s.  A value vector x is the list of the n state
+    values and then the target's value 1, so column n carries each row's
+    target mass.  Each row adds ``weight * x[col]`` over its entries, summed
+    in stored order.  A policy over the leading states is the list
+    ``chosen`` of the row each one plays.
+
+    Evaluation, improvement and the optimality-equation certificate are
+    written here once.  A backend supplies only its data layout:
+
+    - ``candidates(x, rows=None)``: every row's value at value vector x, in
+      the form ``least`` reads; given a list of ``rows``, their values;
+    - ``least(cand)``: lists of each state's least row value and of the
+      first (smallest-id) row attaining it;
+    - ``_triplets(chosen)``: ``(row, col, weight, c)`` of the policy's
+      system over the leading ``len(chosen)`` states, state s playing row
+      ``chosen[s]``: U's entries, dropping those into later states, and the
+      target masses c.
     """
 
     def __init__(self, actions: tuple[str, ...], state_ptr: list[int]):
@@ -59,6 +70,40 @@ class JumpRows:
         """The action of each row in ``chosen``."""
         return tuple(map(self.actions.__getitem__, chosen))
 
+    def evaluate(self, chosen: list[int], residual: bool = True) -> tuple[list, float | None]:
+        """Values of the policy playing ``chosen`` at the leading states,
+        later states held at zero, clipped to [0, 1]; and, if asked, the
+        sup-norm defect of its linear system before clipping."""
+        k = len(chosen)
+        x = solve_banded(k, *self._triplets(chosen))
+        # -0.0 is not below 0.0, so it stays -0.0, as under np.clip
+        head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
+        if not residual:
+            return head, None
+        held = x + [0.0] * (self.n - k)
+        held.append(1.0)
+        again = self.candidates(held, chosen)
+        return head, max(map(abs, map(operator.sub, x, again)), default=0.0)
+
+    def improve(self, chosen: list[int], values, held: list[float]) -> tuple[list[int], list[int]]:
+        """``chosen`` with each leading state s < len(values) moved to its
+        first best row at ``held`` where that is strictly below values[s];
+        and the states that moved."""
+        best, first = self.least(self.candidates(held))
+        better = compress(count(), map(operator.lt, best, values))
+        changed = [s for s in better if first[s] != chosen[s]]
+        improved = list(chosen)
+        for s in changed:
+            improved[s] = first[s]
+        return improved, changed
+
+    def oe_residual(self, values, held: list[float], zero_from: int) -> float:
+        """sup over s of |values[s] - least one-jump value at ``held``|, the
+        least value taken as 0 from state ``zero_from`` on."""
+        best = self.least(self.candidates(held))[0]
+        best[zero_from:] = [0.0] * (len(best) - zero_from)
+        return max(map(abs, map(operator.sub, values, best)), default=0.0)
+
 
 class ListRows(JumpRows):
     """:class:`JumpRows` in plain Python: ``entries[r]`` lists row r's
@@ -67,39 +112,29 @@ class ListRows(JumpRows):
     def __init__(self, actions, state_ptr, entries: list[list[tuple[int, float]]]):
         super().__init__(actions, state_ptr)
         self.entries = entries
-        ends = [*state_ptr[1:], len(actions)]
-        self._spans = list(map(slice, state_ptr, ends))
-        # Only a state with two rows or more can change its row.
-        self._choices = [(s, lo, hi) for s, (lo, hi) in enumerate(zip(state_ptr, ends)) if hi - lo > 1]
+        self._bounds = list(zip(state_ptr, [*state_ptr[1:], len(actions)]))
 
-    @staticmethod
-    def vector(values) -> list[float]:
-        return list(values)
-
-    def candidates(self, x) -> list[float]:
-        """One-jump value of every row at value vector x."""
-        return self._values(self.entries, x)
-
-    @staticmethod
-    def _values(rows, x) -> list[float]:
-        """One-jump value of each of ``rows`` at value vector x."""
+    def candidates(self, x, rows=None) -> list[float]:
         out = []
-        for row in rows:
+        for row in self.entries if rows is None else map(self.entries.__getitem__, rows):
             total = 0.0
             for col, weight in row:
                 total += weight * x[col]
             out.append(total)
         return out
 
-    def least(self, cand) -> tuple[list[float], list[int]]:
-        """Per-state minimum of the row values ``cand`` and the first
-        (smallest-id) row attaining it."""
-        best = list(map(min, map(cand.__getitem__, self._spans)))
-        return best, list(map(cand.index, best, self.state_ptr))
+    def least(self, cand):
+        best, first = [], []
+        for lo, hi in self._bounds:
+            low, at = cand[lo], lo
+            for r in range(lo + 1, hi):
+                if cand[r] < low:  # strictly, so a tie keeps the smaller id
+                    low, at = cand[r], r
+            best.append(low)
+            first.append(at)
+        return best, first
 
-    def _triplets(self, chosen) -> tuple[list, ...]:
-        """``(row, col, weight, c)`` of the system of the leading
-        ``len(chosen)`` states, as in :meth:`ArrayRows._triplets`."""
+    def _triplets(self, chosen):
         k, target = len(chosen), self.n
         row, col, weight = [], [], []
         add_row, add_col, add_weight = row.append, col.append, weight.append
@@ -114,60 +149,22 @@ class ListRows(JumpRows):
                     c[s] = w
         return row, col, weight, c
 
-    def evaluate(self, chosen, residual: bool = True) -> tuple[list[float], float | None]:
-        """Values of the policy playing ``chosen`` at the leading states,
-        later states held at zero, clipped to [0, 1]; and, if asked, the
-        sup-norm defect of its linear system before clipping."""
-        k = len(chosen)
-        x = solve_banded(k, *self._triplets(chosen))
-        # np.clip's comparisons, which keep -0.0
-        head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
-        if not residual:
-            return head, None
-        held = x + [0.0] * (self.n - k)
-        held.append(1.0)
-        again = self._values(map(self.entries.__getitem__, chosen), held)
-        return head, max(map(abs, map(operator.sub, x, again)), default=0.0)
-
-    def improve(self, chosen, values, held) -> tuple[list[int], list[int]]:
-        """``chosen`` with each leading state s < len(values) moved to its
-        first best row at ``held`` where that is strictly below values[s];
-        and the states that moved."""
-        improved = list(chosen)
-        changed = []
-        entries = self.entries
-        for s, lo, hi in self._choices:
-            if s >= len(values):
-                break
-            best = math.inf
-            for r in range(lo, hi):
-                total = 0.0
-                for col, weight in entries[r]:
-                    total += weight * held[col]
-                if total < best:
-                    best, first = total, r
-            if best < values[s] and first != chosen[s]:
-                improved[s] = first
-                changed.append(s)
-        return improved, changed
-
-    def oe_residual(self, values, held, zero_from: int) -> float:
-        """sup over s of |values[s] - least one-jump value at ``held``|, the
-        least value taken as 0 from state ``zero_from`` on."""
-        best = self.least(self.candidates(held))[0]
-        best[zero_from:] = [0.0] * len(best[zero_from:])
-        return max(map(abs, map(operator.sub, values, best)), default=0.0)
-
 
 class ArrayRows(JumpRows):
     """:class:`JumpRows` on numpy arrays: entry e adds ``ent_weight[e] *
-    x[ent_col[e]]`` to row ``ent_row[e]``."""
+    x[ent_col[e]]`` to row ``ent_row[e]``.  Row values stay an array
+    between :meth:`candidates` and :meth:`least`."""
 
     def __init__(self, actions, state_ptr, ent_row, ent_col, ent_weight):
         import numpy as np
 
         super().__init__(actions, state_ptr)
         self._ptr = np.asarray(state_ptr, dtype=np.int64)
+        # Row ids of each state, padded with the id of an extra +inf value.
+        n_rows = len(actions)
+        counts = np.diff(self._ptr, append=n_rows)
+        slot = np.arange(counts.max(initial=1))
+        self._pad = np.where(slot < counts[:, None], self._ptr[:, None] + slot, n_rows)
         self.ent_row = ent_row
         self.ent_col = ent_col
         self.ent_weight = ent_weight
@@ -185,41 +182,28 @@ class ArrayRows(JumpRows):
             np.array([w for row in entries for _, w in row], dtype=float),
         )
 
-    @staticmethod
-    def vector(values):
+    def candidates(self, x, rows=None):
         import numpy as np
 
-        return np.array(values, dtype=float)
-
-    def candidates(self, x):
-        """One-jump value of every row at value vector x."""
-        import numpy as np
-
-        flow = self.ent_weight * x[self.ent_col]
+        # fromiter reads a list about twice as fast as asarray
+        flow = self.ent_weight * np.fromiter(x, float, len(x))[self.ent_col]
         # bincount of no entries at all comes back as integers
-        return np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
+        cand = np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
+        return cand if rows is None else cand[np.fromiter(rows, np.intp, len(rows))].tolist()
 
     def least(self, cand):
-        """Per-state minimum of the row values ``cand`` and the first
-        (smallest-id) row attaining it."""
         import numpy as np
 
-        best = np.minimum.reduceat(cand, self._ptr)
-        n_rows = len(self.actions)
-        counts = np.diff(self._ptr, append=n_rows)
-        hit = cand == np.repeat(best, counts)
-        first = np.minimum.reduceat(np.where(hit, np.arange(n_rows), n_rows), self._ptr)
-        return best, first
+        # argmin takes the first of equal values
+        first = self._ptr + np.append(cand, np.inf)[self._pad].argmin(axis=1)
+        return cand[first].tolist(), first.tolist()
 
-    def _triplets(self, chosen) -> tuple:
-        """``(row, col, weight, c)`` over the leading ``len(chosen)`` states,
-        state s playing row ``chosen[s]``: U's entries as triplets and the
-        target masses c; entries into later states are dropped."""
+    def _triplets(self, chosen):
         import numpy as np
 
         k = len(chosen)
         slot = np.full(len(self.actions), -1)
-        slot[chosen] = np.arange(k)
+        slot[np.fromiter(chosen, np.intp, k)] = np.arange(k)
         at = slot[self.ent_row]
         keep = at >= 0
         at, col, weight = at[keep], self.ent_col[keep], self.ent_weight[keep]
@@ -228,41 +212,6 @@ class ArrayRows(JumpRows):
         c[at[target]] = weight[target]
         inside = col < k
         return at[inside], col[inside], weight[inside], c
-
-    def evaluate(self, chosen, residual: bool = True):
-        """As :meth:`ListRows.evaluate`."""
-        import numpy as np
-
-        k = len(chosen)
-        x = np.array(solve_banded(k, *self._triplets(chosen)), dtype=float)
-        head = np.clip(x, 0.0, 1.0).tolist()
-        if not residual:
-            return head, None
-        held = np.zeros(self.n + 1)
-        held[:k] = x
-        held[-1] = 1.0
-        defect = float(np.abs(x - self.candidates(held)[chosen]).max()) if k else 0.0
-        return head, defect
-
-    def improve(self, chosen, values, held):
-        """As :meth:`ListRows.improve`."""
-        import numpy as np
-
-        best, first = self.least(self.candidates(held))
-        better = np.flatnonzero(best[: len(values)] < values)
-        improved = list(chosen)
-        changed = []
-        for s, r in zip(better.tolist(), first[better].tolist()):
-            if r != improved[s]:
-                improved[s] = r
-                changed.append(s)
-        return improved, changed
-
-    def oe_residual(self, values, held, zero_from: int) -> float:
-        """As :meth:`ListRows.oe_residual`."""
-        best = self.least(self.candidates(held))[0]
-        best[zero_from:] = 0.0
-        return float(abs(values - best).max(initial=0.0))
 
 
 def compile_rows(actions, state_ptr, entries) -> JumpRows:

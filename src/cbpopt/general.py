@@ -102,18 +102,16 @@ def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolu
     as a list of floats.
     """
     interior, rows, avoiding = _compile(model)
-    n = len(interior)
 
     def evaluate(chosen):
         x = rows.evaluate(chosen, residual=False)[0]
         if trace is not None:
             trace.append(x)
-        held = rows.vector([*x, 1.0])
-        return (x, held), held[:n], held
+        return x, x, [*x, 1.0]
 
     sweeps = list(_policy_iteration(rows, rows.state_ptr, evaluate))
-    (x, held), chosen, _ = sweeps[-1]
-    residual = rows.oe_residual(held[:n], held, n)
+    x, chosen, _ = sweeps[-1]
+    residual = rows.oe_residual(x, [*x, 1.0], len(interior))
     if not residual <= OE_TOL:
         raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds {OE_TOL:.3e}")
     values = {s: (1.0 if s in model.target else 0.0) for s in model.states}

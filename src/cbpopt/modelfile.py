@@ -115,9 +115,15 @@ def _int_key(raw: str, context: str) -> int:
 
 
 def load_model(path) -> CbpModel | GeneralModel:
+    """The model in the JSON file at ``path``.  A file that cannot be read
+    or decoded is a :class:`ModelFileError`, as is invalid content."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle, object_pairs_hook=_no_duplicate_keys)
+    except OSError as exc:
+        raise ModelFileError(str(exc)) from None
+    except json.JSONDecodeError as exc:
+        raise ModelFileError(f"invalid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"the model file is not valid UTF-8: {exc}") from None
     except RecursionError:

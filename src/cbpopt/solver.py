@@ -260,15 +260,13 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     return _evaluate(model, rows, rows.rows_playing(f.head), rho_star, _no_death_actions(model))
 
 
-def _held(model: CbpModel, rows: JumpRows, profile: ExtinctionProfile, cutoff: int) -> tuple:
-    """Head values, and the value vector of the one-jump operator: the same
-    values held at zero from ``cutoff`` on, then the target's 1; both as
-    vectors of ``rows``."""
+def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> list[float]:
+    """The value vector of the one-jump operator: the head values held at
+    zero from ``cutoff`` on, then the target's 1."""
     if profile.m != model.m:
         raise ValueError(f"profile covers {profile.m} states but the model has m={model.m}")
     kept = min(cutoff - 1, model.m)
-    held = [*profile.head_values[:kept], *[0.0] * (model.m - kept), 1.0]
-    return rows.vector(profile.head_values), rows.vector(held)
+    return [*profile.head_values[:kept], *[0.0] * (model.m - kept), 1.0]
 
 
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
@@ -287,8 +285,8 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
     rows = _head_rows(model, rho_star_value)
-    values, held = _held(model, rows, profile, cutoff)
-    improved, _ = rows.improve(rows.rows_playing(f.head), values[:cutoff], held)
+    held = _held(model, profile, cutoff)
+    improved, _ = rows.improve(rows.rows_playing(f.head), profile.head_values[:cutoff], held)
     return Policy(head=rows.played(improved), tail=f.tail)
 
 
@@ -321,8 +319,8 @@ def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
 def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
     def evaluate(chosen):
         profile = _evaluate(model, rows, chosen, rho_star_value, no_death)
-        values, held = _held(model, rows, profile, cutoff)
-        return (chosen, profile), values[:cutoff], held
+        held = _held(model, profile, cutoff)
+        return (chosen, profile), profile.head_values[:cutoff], held
 
     sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
     return [
@@ -377,8 +375,7 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
 
 
 def _oe_residual(model, rows, profile, cutoff) -> float:
-    values, held = _held(model, rows, profile, cutoff)
-    return rows.oe_residual(values, held, cutoff - 1)
+    return rows.oe_residual(profile.head_values, _held(model, profile, cutoff), cutoff - 1)
 
 
 def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:

@@ -49,14 +49,20 @@ def zero_death_model() -> CbpModel:
     )
 
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this checkout's
+    cbpopt."""
+    src = str(Path(cbpopt.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_fresh(script: str) -> str:
     """Run a Python script in a new interpreter that imports this checkout's
     cbpopt; return its standard output."""
-    src = str(Path(cbpopt.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": path},
+        env=fresh_env(),
         capture_output=True,
         text=True,
         check=True,

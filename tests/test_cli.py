@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,7 +9,7 @@ import pytest
 from cbpopt import cbp_truncate, parse_model
 from cbpopt.cli import main
 from cbpopt.modelfile import dump_json, model_to_doc
-from conftest import run_fresh
+from conftest import fresh_env, run_fresh
 
 TWO_ACTION = {
     "kind": "cbp",
@@ -88,13 +91,25 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 1
 
-    def test_invalid_json(self, tmp_path):
+    def test_invalid_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
+        with pytest.raises(json.JSONDecodeError) as decoding:
+            json.loads("{not json")
+        assert capsys.readouterr().err == f"model error: invalid JSON: {decoding.value}\n"
 
-    def test_missing_file(self, tmp_path):
-        assert main(["solve", str(tmp_path / "nope.json")]) == 1
+    def test_missing_file(self, tmp_path, capsys):
+        path = tmp_path / "nope.json"
+        assert main(["solve", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"model error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        )
+
+    def test_directory_is_a_model_error(self, tmp_path, capsys):
+        assert main(["solve", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("model error: [Errno ") and err.endswith(f": {str(tmp_path)!r}\n")
 
     @pytest.mark.parametrize(
         "content",
@@ -323,6 +338,21 @@ class TestCommands:
         monkeypatch.setattr("cbpopt.general.OE_TOL", residual / 2)
         assert main(["general", str(path)]) == 2
         assert "residual" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "human"])
+    def test_closed_stdout_exits_zero(self, cbp_path, flags):
+        # The read end of the pipe is closed before the command starts, so
+        # its first write fails with EPIPE every time.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        argv = [sys.executable, "-m", "cbpopt.cli", "evaluate", cbp_path, *flags]
+        try:
+            done = subprocess.run(
+                argv, stdout=write_end, stderr=subprocess.PIPE, env=fresh_env(), timeout=60
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (0, b"")
 
     def test_general_requires_general_model(self, cbp_path):
         assert main(["general", cbp_path]) == 1

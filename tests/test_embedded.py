@@ -3,7 +3,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import tail_weight, validate_mechanism
+from cbpopt.embedded import ArrayRows, ListRows
 from conftest import embedded_row, mechanism_st
+
+# Three states and the target column 3.  At HELD, state 0's rows value
+# 0.75, 0.25, 0.25 (an exact tie), state 1's 0.5, 0.5 (a tie at its own
+# value) and state 2's single row 0.125.
+ACTIONS = ("a", "b", "c", "a", "b", "a")
+STATE_PTR = [0, 3, 5]
+ENTRIES = [
+    [(3, 0.5), (1, 0.5)],
+    [(3, 0.125), (2, 0.5)],
+    [(1, 0.5)],
+    [(3, 0.5)],
+    [(0, 0.5), (3, 0.25)],
+    [(3, 0.125)],
+]
+VALUES = [0.5, 0.5, 0.25]
+HELD = [*VALUES, 1.0]
+
+
+@pytest.fixture(params=["list", "array"])
+def rows(request):
+    if request.param == "list":
+        return ListRows(ACTIONS, STATE_PTR, ENTRIES)
+    return ArrayRows.from_entries(ACTIONS, STATE_PTR, ENTRIES)
+
+
+class TestJumpRowsContract:
+    def test_least_takes_the_first_row_of_a_tie(self, rows):
+        best, first = rows.least(rows.candidates(HELD))
+        assert (best, first) == ([0.25, 0.5, 0.125], [1, 3, 5])
+        assert type(best) is list and type(first) is list
+
+    def test_exact_tie_goes_to_the_smallest_id_row(self, rows):
+        assert rows.improve([0, 4, 5], VALUES, HELD) == ([1, 4, 5], [0])
+        assert rows.improve([2, 4, 5], VALUES, HELD) == ([1, 4, 5], [0])
+
+    def test_current_row_at_the_minimum_does_not_move(self, rows):
+        # State 1 plays row 4, which ties row 3 at the state's own value.
+        improved, changed = rows.improve([1, 4, 5], VALUES, HELD)
+        assert (improved, changed) == ([1, 4, 5], [])
+
+    def test_single_row_never_moves(self, rows):
+        # Row 5 is below state 2's value, but it is the state's only row.
+        assert rows.improve([1, 3, 5], VALUES, HELD) == ([1, 3, 5], [])
+        # Only the states before len(values) are open to improvement.
+        assert rows.improve([0, 4, 5], VALUES[:0], HELD) == ([0, 4, 5], [])
+
+    def test_oe_residual_zeroes_the_least_value_from_zero_from(self, rows):
+        assert rows.oe_residual(VALUES, HELD, 3) == 0.25
+        assert rows.oe_residual(VALUES, HELD, 1) == 0.5
+        assert type(rows.oe_residual(VALUES, HELD, 0)) is float
+
+    def test_evaluate(self, rows):
+        assert rows.evaluate([1, 3, 5]) == ([0.1875, 0.5, 0.125], 0.0)
+        # State 2 is held at zero.
+        assert rows.evaluate([1, 3], residual=False) == ([0.125, 0.5], None)
+
+    def test_evaluate_nothing(self, rows):
+        # A zero tail from state 1 on leaves no state to solve.
+        head, defect = rows.evaluate([])
+        assert (head, defect) == ([], 0.0)
+        assert type(defect) is float
 
 
 class TestEmbeddedRow:
