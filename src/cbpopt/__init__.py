@@ -3,8 +3,9 @@ models, with a general finite-model hitting-probability path and a seeded
 Monte Carlo oracle.
 
 Every public name is loaded on first use (PEP 562): ``import cbpopt`` imports
-no submodule, and a name imports only the submodule that defines it, so code
-that never touches the solvers never loads numpy.
+no submodule, and a name imports only the submodule that defines it.  No
+submodule imports numpy when it loads, the Monte Carlo oracle ``sim``
+included, so code that never computes never loads numpy.
 """
 
 import importlib

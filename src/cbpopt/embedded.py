@@ -85,24 +85,33 @@ class JumpRows:
         again = self.candidates(held, chosen)
         return head, max(map(abs, map(operator.sub, x, again)), default=0.0)
 
-    def improve(self, chosen: list[int], values, held: list[float]) -> tuple[list[int], list[int]]:
+    def improve(
+        self, chosen: list[int], values, held: list[float]
+    ) -> tuple[list[int], list[int], list[float]]:
         """``chosen`` with each leading state s < len(values) moved to its
         first best row at ``held`` where that is strictly below values[s];
-        and the states that moved."""
+        the states that moved; and each state's least one-jump value at
+        ``held``, from which :func:`oe_defect` certifies the last sweep."""
         best, first = self.least(self.candidates(held))
         better = compress(count(), map(operator.lt, best, values))
         changed = [s for s in better if first[s] != chosen[s]]
         improved = list(chosen)
         for s in changed:
             improved[s] = first[s]
-        return improved, changed
+        return improved, changed, best
 
     def oe_residual(self, values, held: list[float], zero_from: int) -> float:
-        """sup over s of |values[s] - least one-jump value at ``held``|, the
-        least value taken as 0 from state ``zero_from`` on."""
-        best = self.least(self.candidates(held))[0]
-        best[zero_from:] = [0.0] * (len(best) - zero_from)
-        return max(map(abs, map(operator.sub, values, best)), default=0.0)
+        """:func:`oe_defect` of ``values`` against the least one-jump values
+        at ``held``."""
+        return oe_defect(values, self.least(self.candidates(held))[0], zero_from)
+
+
+def oe_defect(values, best: list[float], zero_from: int) -> float:
+    """sup over s of |values[s] - best[s]|, ``best`` taken as 0 from state
+    ``zero_from`` on: the optimality-equation residual at ``values`` when
+    ``best`` holds each state's least one-jump value there."""
+    best = best[:zero_from] + [0.0] * (len(best) - zero_from)
+    return max(map(abs, map(operator.sub, values, best)), default=0.0)
 
 
 class ListRows(JumpRows):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .embedded import JumpRows, compile_rows
+from .embedded import JumpRows, compile_rows, oe_defect
 from .errors import NumericalError
 from .model import CbpModel, GeneralModel, State, validate_general_model
 from .solver import Policy, _policy_iteration, validate_policy
@@ -109,15 +109,16 @@ def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolu
             trace.append(x)
         return x, x, [*x, 1.0]
 
-    sweeps = list(_policy_iteration(rows, rows.state_ptr, evaluate))
-    x, chosen, _ = sweeps[-1]
-    residual = rows.oe_residual(x, [*x, 1.0], len(interior))
+    sweeps = _policy_iteration(rows, rows.state_ptr, evaluate)
+    for iterations, (x, chosen, _, best) in enumerate(sweeps, 1):
+        pass
+    residual = oe_defect(x, best, len(interior))
     if not residual <= OE_TOL:
         raise NumericalError(f"optimality-equation residual {residual:.3e} exceeds {OE_TOL:.3e}")
     values = {s: (1.0 if s in model.target else 0.0) for s in model.states}
     values.update(zip(interior, x))
     policy = {**avoiding, **dict(zip(interior, rows.played(chosen)))}
-    return HittingSolution(values, policy, iterations=len(sweeps), oe_residual=residual)
+    return HittingSolution(values, policy, iterations=iterations, oe_residual=residual)
 
 
 def cbp_truncate(model: CbpModel, policy: Policy | None, level: int) -> GeneralModel:

@@ -24,6 +24,9 @@ step's block width is the mean over the tail rows, so short excursions
 waste few draws and long ones take few steps.  One step holds at most
 ``_BLOCK_ENTRIES`` draws, so memory does not grow with n.  None of these
 sizes changes a result.
+
+numpy is imported when the engine first runs, not when the module loads, so
+``SimCaps``, ``wilson_interval`` and the input checks never load it.
 """
 
 from __future__ import annotations
@@ -31,12 +34,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .model import CbpModel
 from .solver import Policy, validate_policy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXTINCT = "extinct"
 CENSORED_POPULATION = "censored_population"
@@ -56,12 +60,10 @@ _MASK64 = (1 << 64) - 1
 # the clamped population cap, keeps every state, jump count and cap
 # comparison inside int64.
 _CAP_LIMIT = 1 << 62
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_STEPS = (
-    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
-    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
-    (np.uint64(31), None),
-)
+# SplitMix64's increment and its output function's (shift, multiplier)
+# steps, cast to uint64 where they are used.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
 
 
 @dataclass(frozen=True)
@@ -94,22 +96,27 @@ class EpEstimate:
 def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64's output function, in place on a uint64 array (a bijection
     of 64-bit words); ``scratch`` is a uint64 array of the same shape."""
+    import numpy as np
+
     for shift, mul in _MIX_STEPS:
-        np.right_shift(z, shift, out=scratch)
+        np.right_shift(z, np.uint64(shift), out=scratch)
         np.bitwise_xor(z, scratch, out=z)
         if mul is not None:
-            np.multiply(z, mul, out=z)
+            np.multiply(z, np.uint64(mul), out=z)
     return z
 
 
 def _keys(master_seed: int, first: int, count: int) -> np.ndarray:
     """``key_t`` for t in [first, first + count): mix((mix(seed + γ) ^ t) + γ),
     one-to-one in the seed for each t and in t for each seed."""
-    base = np.array([master_seed], dtype=np.uint64) + _GAMMA
+    import numpy as np
+
+    gamma = np.uint64(_GAMMA)
+    base = np.array([master_seed], dtype=np.uint64) + gamma
     _splitmix64(base, np.empty_like(base))
     keys = np.arange(count, dtype=np.uint64) + np.uint64(first)
     keys ^= base
-    keys += _GAMMA
+    keys += gamma
     return _splitmix64(keys, np.empty_like(keys))
 
 
@@ -129,6 +136,8 @@ def _tables(model: CbpModel, f: Policy) -> tuple[np.ndarray, np.ndarray]:
     increment at that position.  The last bound of a row, and the padding of
     rows with fewer atoms, is 2**64 - 1, which no draw exceeds.
     """
+    import numpy as np
+
     rows = {}
     for a in set(f.head) | {f.tail}:
         pmf = model.mechanism(a).offspring_pmf()
@@ -155,6 +164,9 @@ def _advance(
     Returns each trajectory's result code (an index into ``_RESULTS``), jump
     count and peak population.
     """
+    import numpy as np
+
+    gamma = np.uint64(_GAMMA)
     count = len(keys)
     m = len(bounds) - 1
     # A tail jump is the first increment plus, for each bound below its draw,
@@ -176,7 +188,7 @@ def _advance(
     below = np.empty(size, dtype=bool)
     path = np.empty(size, dtype=np.int64)
     lags = np.arange(_MAX_BLOCK)
-    counters = (lags + 1).astype(np.uint64) * _GAMMA
+    counters = (lags + 1).astype(np.uint64) * gamma
     columns = np.arange(count)
 
     ids = np.arange(count)
@@ -207,7 +219,7 @@ def _advance(
         head = np.flatnonzero(state <= m)
         if head.size:
             s = state[head]
-            z = keys[head] + (jumps[head].astype(np.uint64) + np.uint64(1)) * _GAMMA
+            z = keys[head] + (jumps[head].astype(np.uint64) + np.uint64(1)) * gamma
             _splitmix64(z, np.empty_like(z))
             picked = (z[:, None] > bounds[s - 1]).sum(axis=1)
             s += steps[s - 1, picked]
@@ -224,7 +236,7 @@ def _advance(
         entries = n_rows * w
         z = draws[:entries].reshape(w, n_rows)
         tail_jumps = jumps[tail]
-        np.add(counters[:w, None], keys[tail] + tail_jumps.astype(np.uint64) * _GAMMA, out=z)
+        np.add(counters[:w, None], keys[tail] + tail_jumps.astype(np.uint64) * gamma, out=z)
         spare = scratch[:entries].reshape(w, n_rows)
         _splitmix64(z, spare)
         hit = below[:entries].reshape(w, n_rows)
@@ -298,8 +310,14 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     """Wilson score interval for a binomial proportion.
 
     The degenerate endpoints are exact: zero successes give a lower limit of
-    0 and all successes an upper limit of 1.
+    0 and all successes an upper limit of 1.  Both counts must be integers,
+    with n at least 1 and successes in [0, n].
     """
+    successes, n = operator.index(successes), operator.index(n)
+    if n < 1:
+        raise ValueError(f"the trial count n must be at least 1, got {n}")
+    if not 0 <= successes <= n:
+        raise ValueError(f"successes must lie in [0, n] = [0, {n}], got {successes}")
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -325,7 +343,7 @@ def estimate_ep(
     if n < 1:
         raise ValueError("need at least one trajectory")
     extinct = sum(
-        int(np.count_nonzero(result == _RESULTS.index(EXTINCT)))
+        int((result == _RESULTS.index(EXTINCT)).sum())
         for result, _, _ in _outcomes(model, f, i0, caps, master_seed, 0, n)
     )
     low, high = wilson_interval(extinct, n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import embedded, gen_fn
-from .embedded import ArrayRows, JumpRows, tail_weight
+from .embedded import ArrayRows, JumpRows, oe_defect, tail_weight
 from .errors import InadmissibleAction, NumericalError, SingularSystem, TooManyPolicies
 from .model import CbpModel
 
@@ -286,7 +286,7 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
     rows = _head_rows(model, rho_star_value)
     held = _held(model, profile, cutoff)
-    improved, _ = rows.improve(rows.rows_playing(f.head), profile.head_values[:cutoff], held)
+    improved = rows.improve(rows.rows_playing(f.head), profile.head_values[:cutoff], held)[0]
     return Policy(head=rows.played(improved), tail=f.tail)
 
 
@@ -301,32 +301,36 @@ def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
     bring one back differs from the current policy by rounding alone, and the
     loop stops at the current one.  Every other sweep adds a policy to
     ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
-    states)`` per sweep.
+    states, least one-jump values at held)`` per sweep; the last sweep's
+    least values certify the final policy.
     """
     seen = set()
     while True:
         seen.add(tuple(chosen))
         record, values, held = evaluate(chosen)
-        improved, changed = rows.improve(chosen, values, held)
+        improved, changed, best = rows.improve(chosen, values, held)
         if changed and tuple(improved) in seen:
             improved, changed = chosen, []
-        yield record, improved, changed
+        yield record, improved, changed, best
         if not changed:
             return
         chosen = improved
 
 
-def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> list:
+def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[list, float]:
+    """The sweeps' records and the final profile's OE residual."""
+
     def evaluate(chosen):
         profile = _evaluate(model, rows, chosen, rho_star_value, no_death)
         held = _held(model, profile, cutoff)
         return (chosen, profile), profile.head_values[:cutoff], held
 
+    records = []
     sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
-    return [
-        IterationRecord(Policy(rows.played(chosen), f.tail), profile, tuple(s + 1 for s in moved))
-        for (chosen, profile), _, moved in sweeps
-    ]
+    for (chosen, profile), _, moved, best in sweeps:
+        policy = Policy(rows.played(chosen), f.tail)
+        records.append(IterationRecord(policy, profile, tuple(s + 1 for s in moved)))
+    return records, oe_defect(profile.head_values, best, cutoff - 1)
 
 
 def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> SolveReport:
@@ -349,10 +353,10 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
         root = roots.per_action[a].rho
         if root not in solves:
             rows = _head_rows(model, root)
-            solves[root] = a, rows, _head_iteration(model, rows, root, cutoff, no_death, f)
-    _, rows, records = solves[roots.rho_star]
+            solves[root] = a, *_head_iteration(model, rows, root, cutoff, no_death, f)
+    _, records, residual = solves[roots.rho_star]
     final = records[-1]
-    for a, _, alt in solves.values():
+    for a, alt, _ in solves.values():
         gaps = zip(alt[-1].profile.head_values, final.profile.head_values)
         for i, gap in enumerate((abs(u - v) for u, v in gaps), 1):
             if gap > _TIE_PROFILE_TOL:
@@ -369,13 +373,9 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
         a_star=roots.a_star,
         tied=roots.tied,
         iterations=tuple(records),
-        oe_residual=_oe_residual(model, rows, final.profile, cutoff),
+        oe_residual=residual,
         dont_care_states=dont_care,
     )
-
-
-def _oe_residual(model, rows, profile, cutoff) -> float:
-    return rows.oe_residual(profile.head_values, _held(model, profile, cutoff), cutoff - 1)
 
 
 def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
@@ -392,7 +392,8 @@ def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
     if rho_star_value is None:
         # Below a cutoff the tail column is held at zero and the ratio is moot.
         rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
-    return _oe_residual(model, _head_rows(model, rho_star_value), profile, cutoff)
+    rows = _head_rows(model, rho_star_value)
+    return rows.oe_residual(profile.head_values, _held(model, profile, cutoff), cutoff - 1)
 
 
 def brute_force_table(

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import tail_weight, validate_mechanism
-from cbpopt.embedded import ArrayRows, ListRows
+from cbpopt.embedded import ArrayRows, ListRows, oe_defect
 from conftest import embedded_row, mechanism_st
 
 # Three states and the target column 3.  At HELD, state 0's rows value
@@ -21,6 +21,7 @@ ENTRIES = [
 ]
 VALUES = [0.5, 0.5, 0.25]
 HELD = [*VALUES, 1.0]
+LEAST = [0.25, 0.5, 0.125]
 
 
 @pytest.fixture(params=["list", "array"])
@@ -33,28 +34,33 @@ def rows(request):
 class TestJumpRowsContract:
     def test_least_takes_the_first_row_of_a_tie(self, rows):
         best, first = rows.least(rows.candidates(HELD))
-        assert (best, first) == ([0.25, 0.5, 0.125], [1, 3, 5])
+        assert (best, first) == (LEAST, [1, 3, 5])
         assert type(best) is list and type(first) is list
 
     def test_exact_tie_goes_to_the_smallest_id_row(self, rows):
-        assert rows.improve([0, 4, 5], VALUES, HELD) == ([1, 4, 5], [0])
-        assert rows.improve([2, 4, 5], VALUES, HELD) == ([1, 4, 5], [0])
+        assert rows.improve([0, 4, 5], VALUES, HELD) == ([1, 4, 5], [0], LEAST)
+        assert rows.improve([2, 4, 5], VALUES, HELD) == ([1, 4, 5], [0], LEAST)
 
     def test_current_row_at_the_minimum_does_not_move(self, rows):
         # State 1 plays row 4, which ties row 3 at the state's own value.
-        improved, changed = rows.improve([1, 4, 5], VALUES, HELD)
+        improved, changed, best = rows.improve([1, 4, 5], VALUES, HELD)
         assert (improved, changed) == ([1, 4, 5], [])
+        assert best == LEAST and type(best) is list
 
     def test_single_row_never_moves(self, rows):
         # Row 5 is below state 2's value, but it is the state's only row.
-        assert rows.improve([1, 3, 5], VALUES, HELD) == ([1, 3, 5], [])
+        assert rows.improve([1, 3, 5], VALUES, HELD) == ([1, 3, 5], [], LEAST)
         # Only the states before len(values) are open to improvement.
-        assert rows.improve([0, 4, 5], VALUES[:0], HELD) == ([0, 4, 5], [])
+        assert rows.improve([0, 4, 5], VALUES[:0], HELD) == ([0, 4, 5], [], LEAST)
 
     def test_oe_residual_zeroes_the_least_value_from_zero_from(self, rows):
         assert rows.oe_residual(VALUES, HELD, 3) == 0.25
         assert rows.oe_residual(VALUES, HELD, 1) == 0.5
         assert type(rows.oe_residual(VALUES, HELD, 0)) is float
+
+    def test_oe_defect_of_the_least_values_is_oe_residual(self, rows):
+        for zero_from in range(5):
+            assert oe_defect(VALUES, LEAST, zero_from) == rows.oe_residual(VALUES, HELD, zero_from)
 
     def test_evaluate(self, rows):
         assert rows.evaluate([1, 3, 5]) == ([0.1875, 0.5, 0.125], 0.0)

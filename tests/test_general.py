@@ -14,6 +14,7 @@ from cbpopt import (
     validate_general_model,
     value_iterate,
 )
+from cbpopt import general
 from conftest import far_jumping_model, random_cbp_model
 
 
@@ -177,11 +178,29 @@ def test_rows_jumping_three_states_down_are_solved_exactly(model):
     assert_exact_for_policy(model, value_iterate(model))
 
 
+def _recomputed_oe_residual(model, solution):
+    """The OE residual at the solution's values, from freshly compiled rows."""
+    interior, rows, _ = general._compile(model)
+    x = [solution.values[s] for s in interior]
+    return rows.oe_residual(x, [*x, 1.0], len(interior))
+
+
+@given(_far_jumping_model())
+@settings(max_examples=60, deadline=None)
+def test_reused_certificate_is_recomputed_residual_bit_for_bit(model):
+    solution = value_iterate(model)
+    assert solution.oe_residual.hex() == _recomputed_oe_residual(model, solution).hex()
+
+
 def test_rounding_cycle_through_several_policies_stops():
     # Even under the tie rule, policy iteration here goes back and forth
     # between two policies whose values differ only in the last bits.
     model = far_jumping_model(np.random.default_rng(122), 12)
-    assert_exact_for_policy(model, value_iterate(model))
+    solution = value_iterate(model)
+    assert_exact_for_policy(model, solution)
+    # The last sweep is the one the stop cut short; its least values still
+    # certify the policy it kept.
+    assert solution.oe_residual.hex() == _recomputed_oe_residual(model, solution).hex()
 
 
 @st.composite
@@ -199,8 +218,10 @@ def test_truncation_cross_checks_solve(case):
     exact = solve(model).optimal_profile
     short = value_iterate(cbp_truncate(model, None, level))
     wide = value_iterate(cbp_truncate(model, None, 2 * level))
-    for solution in (short, wide):
+    for solution, window in ((short, level), (wide, 2 * level)):
         assert solution.oe_residual <= 1e-12
+        again = _recomputed_oe_residual(cbp_truncate(model, None, window), solution)
+        assert solution.oe_residual.hex() == again.hex()
     for i in range(1, level + 1):
         assert short.values[i] <= exact.ep(i) + 1e-12
         assert wide.values[i] <= exact.ep(i) + 1e-12

@@ -15,6 +15,22 @@ def test_import_loads_no_submodule():
     assert run_fresh(script).strip() == "['cbpopt'] False"
 
 
+def test_no_submodule_loads_numpy():
+    # Every module, sim included, imports numpy only once it computes.
+    script = (
+        "import importlib, sys\n"
+        "import cbpopt\n"
+        "for name in [*cbpopt._EXPORTS, 'cli']:\n"
+        "    importlib.import_module(f'cbpopt.{name}')\n"
+        "from cbpopt import *\n"
+        "SimCaps(max_jumps=100, max_pop=10)\n"
+        "wilson_interval(3, 10)\n"
+        "print(sorted(m[7:] for m in sys.modules if m.startswith('cbpopt.')), 'numpy' in sys.modules)\n"
+    )
+    modules = sorted([*cbpopt._EXPORTS, "cli"])
+    assert run_fresh(script).strip() == f"{modules} False"
+
+
 def test_each_export_is_its_submodule_object():
     for name in cbpopt.__all__:
         module = importlib.import_module(f"cbpopt.{cbpopt._SUBMODULE[name]}")

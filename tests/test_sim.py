@@ -317,3 +317,24 @@ class TestWilson:
         assert low == 0.0
         low, high = wilson_interval(10, 10)
         assert high == 1.0
+
+    @pytest.mark.parametrize(
+        "successes, n, match",
+        [
+            (0, 0, "n must be at least 1, got 0"),
+            (0, -3, "n must be at least 1, got -3"),
+            (11, 10, r"successes must lie in \[0, n\] = \[0, 10\], got 11"),
+            (-1, 10, r"successes must lie in \[0, n\] = \[0, 10\], got -1"),
+        ],
+    )
+    def test_counts_out_of_range_are_value_errors(self, successes, n, match):
+        with pytest.raises(ValueError, match=match):
+            wilson_interval(successes, n)
+
+    @pytest.mark.parametrize("successes, n", [(5, 10.5), (5.0, 10), (5, "10")])
+    def test_non_integer_counts_are_type_errors(self, successes, n):
+        with pytest.raises(TypeError):
+            wilson_interval(successes, n)
+
+    def test_integer_like_counts_are_their_values(self):
+        assert wilson_interval(np.int64(3), np.int32(10)) == wilson_interval(3, 10)

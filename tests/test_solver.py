@@ -103,7 +103,7 @@ class _AlternatingRows:
 
     @staticmethod
     def improve(chosen, values, held):
-        return ([1] if chosen == [0] else [0]), [0]
+        return ([1] if chosen == [0] else [0]), [0], [0.25]
 
 
 def test_policy_iteration_stops_before_a_repeated_policy():
@@ -117,7 +117,7 @@ def test_policy_iteration_stops_before_a_repeated_policy():
     assert evaluated == [[0], [1]]
     # The second sweep would bring [0] back, so it stays at [1] and reports
     # no change.
-    assert sweeps == [(1, [1], [0]), (2, [1], [])]
+    assert sweeps == [(1, [1], [0], [0.25]), (2, [1], [], [0.25])]
 
 
 def _reference_system(model, head, rho_value):
@@ -518,6 +518,22 @@ class TestOneJumpOperator:
             model, f, values, roots.rho_star
         )
         assert verify_oe(model, profile) == _reference_oe(model, values, roots.rho_star)
+
+    @given(_model_policy_values())
+    @settings(max_examples=80, deadline=None)
+    def test_reused_certificate_is_verify_oe_bit_for_bit(self, case):
+        # solve certifies from its last sweep's least values; verify_oe
+        # recomputes them from the profile alone.
+        model = case[0]
+        report = solve(model)
+        again = verify_oe(model, report.optimal_profile)
+        assert report.oe_residual.hex() == again.hex()
+
+    def test_reused_certificate_below_a_zero_death_cutoff(self, zero_death_model):
+        report = solve(zero_death_model)
+        assert report.zero_death_cutoff <= zero_death_model.m
+        again = verify_oe(zero_death_model, report.optimal_profile)
+        assert report.oe_residual.hex() == again.hex()
 
     @given(_model_policy_values())
     @settings(max_examples=50, deadline=None)
