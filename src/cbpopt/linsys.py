@@ -7,13 +7,15 @@ A policy's head system is upper Hessenberg (p = 1) with a narrow upper band;
 general-model policies whose jumps go two or more states down widen p.  The
 band is set up in plain Python from entry lists or by numpy from arrays, and
 the elimination itself is plain Python, so this module loads numpy only when
-it is handed arrays.  :func:`solve_unit` hands a dense U to the same kernel.
+it is handed arrays.  The elimination owns the band set up for it and updates
+its rows in place, so a solve makes no list per column and leaves the
+caller's entries untouched.  :func:`solve_unit` hands a dense U to the same
+kernel.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -167,7 +169,14 @@ def _array_band(n: int, row, col, weight, c) -> tuple:
 
 def _eliminate(n: int, A: list, x: list, p: int, scale: float) -> list[float]:
     """The elimination of :func:`solve_banded` on the band rows ``A`` of
-    I - U, each held from column row - p on, with right-hand side ``x``."""
+    I - U, each held from column row - p on, with right-hand side ``x``.
+
+    The kernel owns ``A`` and ``x``, which :func:`_list_band` or
+    :func:`_array_band` built for it, and updates both in place: a row
+    eliminated at column k drops its first entry and takes a zero at its
+    end, so it is held from column k + 1 on.  No list is made per column,
+    which keeps a large solve from feeding the cyclic garbage collector.
+    """
     if scale == 0.0:
         raise SingularSystem("coefficient matrix is identically zero")
     threshold = PIVOT_RTOL * scale
@@ -201,26 +210,29 @@ def _eliminate(n: int, A: list, x: list, p: int, scale: float) -> list[float]:
         done.append(cur)
         factor = below[0] / pivot
         x[k + p] -= factor * x[k]
-        below = [below[i] - factor * cur[i] for i in shifted]
+        for i in shifted:
+            below[i] -= factor * cur[i]
+        del below[0]
         below.append(0.0)
         if mid:
             for j, r in enumerate(mid, 1):
                 factor = r[0] / pivot
                 x[k + j] -= factor * x[k]
-                r = [r[i] - factor * cur[i] for i in shifted]
+                for i in shifted:
+                    r[i] -= factor * cur[i]
+                del r[0]
                 r.append(0.0)
-                mid[j - 1] = r
             mid.append(below)
             below = mid.pop(0)
         cur = below
-    later = deque(maxlen=width - 1)  # x[i + 1 : i + p + q + 1]
+    # Every row is zero from column n on, so x is padded with zeros there
+    # and each row's band is summed in column order over x[i + 1 : i + width].
+    x[n:] = repeat(0.0, width - 1)
     for i in range(n - 1, -1, -1):
-        entries = iter(done[i])
-        pivot = next(entries)
+        row = done[i]
         total = 0.0
-        for a, v in zip(entries, later):
-            total += a * v
-        x[i] = (x[i] - total) / pivot
-        later.appendleft(x[i])
+        for j in shifted:
+            total += row[j] * x[i + j]
+        x[i] = (x[i] - total) / row[0]
     del x[n:]
     return x

@@ -301,8 +301,10 @@ def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
     bring one back differs from the current policy by rounding alone, and the
     loop stops at the current one.  Every other sweep adds a policy to
     ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
-    states, least one-jump values at held)`` per sweep; the last sweep's
-    least values certify the final policy.
+    states, least one-jump values at held)`` per sweep.  Only the last
+    sweep's least values certify the final policy, so every earlier sweep
+    yields None in their place, and its vectors are dropped before the next
+    evaluation.
     """
     seen = set()
     while True:
@@ -311,9 +313,11 @@ def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
         improved, changed, best = rows.improve(chosen, values, held)
         if changed and tuple(improved) in seen:
             improved, changed = chosen, []
-        yield record, improved, changed, best
         if not changed:
+            yield record, improved, changed, best
             return
+        del values, held, best
+        yield record, improved, changed, None
         chosen = improved
 
 

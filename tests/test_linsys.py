@@ -1,4 +1,6 @@
+import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import SingularSystem, UnitSystem, has_invertible_structure, solve_unit
-from cbpopt.linsys import PIVOT_RTOL, solve_banded
+from cbpopt.linsys import PIVOT_RTOL, _list_band, solve_banded
 
 
 def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -309,3 +311,60 @@ class TestHessenberg:
         # An entry two below the diagonal widens the lower band to 2.
         x = solve_banded(3, [2], [0], [0.5], np.ones(3))
         assert x == [1.0, 1.0, 1.5]
+
+
+class TestKernelOwnsTheBand:
+    """The elimination updates the band built for it in place and touches
+    nothing its caller passed."""
+
+    def test_peak_stays_near_the_band(self):
+        # p = 1, q = 2: a band of width 4.  A kernel that made a list per
+        # column would nearly double the band's footprint.
+        n = 2000
+        entries = [
+            (i, j, w)
+            for i in range(n)
+            for j, w in ((i - 1, 0.5), (i + 1, 0.2), (i + 2, 0.1))
+            if 0 <= j < n
+        ]
+        row, col, weight = map(list, zip(*entries))
+        c = [0.2] * n
+
+        def peak(setup):
+            tracemalloc.start()
+            try:
+                setup(n, row, col, weight, c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        band = peak(_list_band)
+        assert peak(solve_banded) <= 1.25 * band
+
+    @pytest.mark.parametrize(
+        "n, band, density, singular",
+        [(1, 0, 1.0, False), (3, 2, 1.0, False), (4, 3, 1.0, False), (12, 1, 0.3, False),
+         (12, 3, 1.0, False), (30, 2, 0.3, False), (12, 2, 1.0, True)],
+    )
+    def test_inputs_are_untouched(self, n, band, density, singular):
+        # n < p + q + 1 in the first three cases, and p >= 2 in five.
+        rng = np.random.default_rng(100 * n + band)
+        U = random_banded(rng, n, band, density)
+        if singular:
+            U[:, n // 2] = 0.0
+            U[n // 2, n // 2] = 1.0
+        c = rng.uniform(0.0, 1.0, size=n)
+        row, col = np.nonzero(U)
+        listed = [row.tolist(), col.tolist(), U[row, col].tolist(), c.tolist()]
+        arrays = [row, col, U[row, col], c]
+        system = UnitSystem(U, c)
+        inputs = [*listed, *arrays, U, system.U, system.c]
+        copies = [v.copy() for v in inputs]
+        with contextlib.suppress(SingularSystem):
+            solve_banded(n, *listed)
+        with contextlib.suppress(SingularSystem):
+            solve_banded(n, *arrays)
+        with contextlib.suppress(SingularSystem):
+            solve_unit(system)
+        for got, want in zip(inputs, copies):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
