@@ -11,8 +11,8 @@ command imports its compute modules (``gen_fn``, ``solver``, ``sim``,
 parsed.  So ``rho``, whose roots are pure Python, and every command that fails
 before it computes (unreadable or invalid files, the wrong model kind, a
 malformed policy spec, ``brute`` over its cap) never import numpy.  Neither
-do ``solve``, ``evaluate``, ``brute`` and ``general`` on a model whose
-compiled one-jump operator has fewer than ``embedded.LIST_ENTRIES`` entries;
+does ``general``, at any size, nor do ``solve``, ``evaluate`` and ``brute`` on
+a head of fewer than ``solver.ARRAY_HEAD_ROWS`` (state, action) rows;
 ``simulate`` always does.
 """
 

@@ -10,10 +10,11 @@ certificate go through, for branching and general models alike.
 
 Those three are written once, over plain lists; a backend keeps only the
 data layout.  :class:`ListRows` keeps each row as a Python list, and
-:class:`ArrayRows` the entries in numpy arrays.  An operator with fewer than
-``LIST_ENTRIES`` entries is compiled to ``ListRows``, so small models never
-import numpy.  Both backends sum each row in stored order, run the same
-elimination and give the same bits.
+:class:`ArrayRows` the entries in numpy arrays.  General models always
+compile to ``ListRows``; only a large branching head
+(``solver.ARRAY_HEAD_ROWS`` rows or more) is built as ``ArrayRows``.  Both
+backends sum each row in stored order, run the same elimination and give the
+same bits.
 """
 
 from __future__ import annotations
@@ -24,10 +25,6 @@ from typing import Sequence
 
 from .linsys import solve_banded
 from .model import BranchingMechanism
-
-# Operators with fewer entries than this are compiled to ListRows, larger
-# ones to ArrayRows: the in-process crossover of the two backends (CHANGES.md).
-LIST_ENTRIES = 400
 
 
 class JumpRows:
@@ -178,19 +175,6 @@ class ArrayRows(JumpRows):
         self.ent_col = ent_col
         self.ent_weight = ent_weight
 
-    @classmethod
-    def from_entries(cls, actions, state_ptr, entries) -> ArrayRows:
-        """The rows of :class:`ListRows` ``entries`` as arrays."""
-        import numpy as np
-
-        return cls(
-            actions,
-            state_ptr,
-            np.array([r for r, row in enumerate(entries) for _ in row], dtype=np.int64),
-            np.array([j for row in entries for j, _ in row], dtype=np.int64),
-            np.array([w for row in entries for _, w in row], dtype=float),
-        )
-
     def candidates(self, x, rows=None):
         import numpy as np
 
@@ -221,14 +205,6 @@ class ArrayRows(JumpRows):
         c[at[target]] = weight[target]
         inside = col < k
         return at[inside], col[inside], weight[inside], c
-
-
-def compile_rows(actions, state_ptr, entries) -> JumpRows:
-    """:class:`ListRows` of ``entries``, or their :class:`ArrayRows` once
-    they number ``LIST_ENTRIES`` or more."""
-    if sum(map(len, entries)) < LIST_ENTRIES:
-        return ListRows(actions, state_ptr, entries)
-    return ArrayRows.from_entries(actions, state_ptr, entries)
 
 
 def tail_weight(mech: BranchingMechanism, i: int, m: int, rho_star: float) -> float:

@@ -9,6 +9,9 @@ evaluated by one banded solve, whose lower bandwidth is the farthest jump
 back in the state order.  Branching models are truncated to a finite window,
 jumps past it going to the cemetery (value zero), so truncated values are
 lower bounds that grow with the window.
+
+The one-jump rows are plain-Python ``ListRows`` at every size, so this
+module never imports numpy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .embedded import JumpRows, compile_rows, oe_defect
+from .embedded import JumpRows, ListRows, oe_defect
 from .errors import NumericalError
 from .model import CbpModel, GeneralModel, State, validate_general_model
 from .solver import Policy, _policy_iteration, validate_policy
@@ -60,8 +63,8 @@ def _avoiding(model: GeneralModel) -> dict[State, str]:
 
 
 def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[State, str]]:
-    """Interior states that are not avoiding, their one-jump rows, and the
-    avoiding states with their actions.
+    """Interior states that are not avoiding, their one-jump rows as
+    :class:`ListRows`, and the avoiding states with their actions.
 
     Entries carry normalized rates into the kept states, then the row's
     target mass; mass into the cemetery or an avoiding state (value zero) is
@@ -88,7 +91,7 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
                 row.append((len(interior), const))
             entries.append(row)
             actions.append(a)
-    return interior, compile_rows(tuple(actions), state_ptr, entries), avoiding
+    return interior, ListRows(tuple(actions), state_ptr, entries), avoiding
 
 
 def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolution:

@@ -9,7 +9,8 @@ plays a no-death action somewhere in the head, the smaller system in front of
 the first such state with exact zeros behind it.  Improvement replaces an
 action only where its one-jump value strictly beats the current value, so the
 extinction profile decreases monotonically and the iteration visits each head
-policy at most once.
+policy at most once.  :func:`_head_rows` is the one place where a backend
+for the compiled rows is picked, by the number of head rows.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import embedded, gen_fn
-from .embedded import ArrayRows, JumpRows, oe_defect, tail_weight
+from . import gen_fn
+from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, tail_weight
 from .errors import InadmissibleAction, NumericalError, SingularSystem, TooManyPolicies
 from .model import CbpModel
 
@@ -149,6 +150,10 @@ def validate_policy(model: CbpModel, f: Policy) -> None:
         raise InadmissibleAction(f"tail action {f.tail!r} is not in the shared tail set")
 
 
+# The in-process crossover of the two backends on head rows (CHANGES.md).
+ARRAY_HEAD_ROWS = 400
+
+
 def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     """The head's compiled one-jump rows under tail ratio ``rho_star_value``.
 
@@ -156,14 +161,13 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     probabilities, landings from m on fold into state m's column through the
     tail weight, and extinction from state 1 goes to the target column.  Each row
     adds its target mass first, its in-head terms in ascending order and its
-    tail term last.  Every row has an entry, so a head of ``LIST_ENTRIES``
-    rows or more is compiled by numpy straight away; a smaller one is
-    compiled in plain Python, and :func:`embedded.compile_rows` picks its
-    backend by the entry count.
+    tail term last.  A head of ``ARRAY_HEAD_ROWS`` (state, action) rows or
+    more is compiled by numpy to :class:`ArrayRows`, so it imports numpy; a
+    smaller one is compiled in plain Python to :class:`ListRows`.
     """
     actions = tuple(a for choices in model.admissible for a in choices)
     state_ptr = list(itertools.accumulate(map(len, model.admissible[:-1]), initial=0))
-    if len(actions) >= embedded.LIST_ENTRIES:
+    if len(actions) >= ARRAY_HEAD_ROWS:
         return _head_arrays(model, rho_star_value, actions, state_ptr)
     m = model.m
     mechs = {a: model.mechanism(a) for a in set(actions)}
@@ -179,7 +183,7 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
             if i - 1 + mechs[a].max_k >= m:
                 row.append((m - 1, tail_weight(mechs[a], i, m, rho_star_value)))
             entries.append(row)
-    return embedded.compile_rows(actions, state_ptr, entries)
+    return ListRows(actions, state_ptr, entries)
 
 
 def _head_arrays(model: CbpModel, rho_star_value: float, actions, state_ptr) -> ArrayRows:

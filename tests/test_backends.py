@@ -1,9 +1,10 @@
-"""ListRows and ArrayRows give the same bits.
+"""ListRows and ArrayRows give the same bits on branching heads.
 
-Each result is computed twice, once with every operator compiled to
-ListRows and once with every operator compiled to ArrayRows, by setting
-``embedded.LIST_ENTRIES``.  Results compare by ``repr``, which tells every
-float apart, -0.0 from 0.0 included.
+Each result is computed twice, once with every head compiled to ListRows and
+once with every head compiled to ArrayRows, by setting
+``solver.ARRAY_HEAD_ROWS``.  General models compile to ListRows whatever its
+value.  Results compare by ``repr``, which tells every float apart, -0.0 from
+0.0 included.
 """
 
 import math
@@ -22,24 +23,23 @@ from cbpopt import (
     rho_star,
     solve,
     validate_cbp_model,
-    value_iterate,
     verify_oe,
 )
 from cbpopt import embedded, general, solver
 from cbpopt.errors import CbpError
-from conftest import far_jumping_model, random_cbp_model
+from conftest import random_cbp_model
 
-LIST, ARRAY = math.inf, 0  # LIST_ENTRIES forcing each backend
+LIST, ARRAY = math.inf, 0  # ARRAY_HEAD_ROWS forcing each backend
 
 
 @contextmanager
 def backend(limit):
-    saved = embedded.LIST_ENTRIES
-    embedded.LIST_ENTRIES = limit
+    saved = solver.ARRAY_HEAD_ROWS
+    solver.ARRAY_HEAD_ROWS = limit
     try:
         yield
     finally:
-        embedded.LIST_ENTRIES = saved
+        solver.ARRAY_HEAD_ROWS = saved
 
 
 def outcome(fn) -> str:
@@ -60,14 +60,14 @@ def assert_same_on_both(fn) -> str:
 
 
 def test_limit_picks_the_backend(two_action_model):
+    truncated = cbp_truncate(two_action_model, None, 40)
     with backend(LIST):
         assert type(solver._head_rows(two_action_model, 0.5)) is embedded.ListRows
+        assert type(general._compile(truncated)[1]) is embedded.ListRows
+    # The limit counts head rows only: a general model is never ArrayRows.
     with backend(ARRAY):
         assert type(solver._head_rows(two_action_model, 0.5)) is embedded.ArrayRows
-    # A head of fewer rows than the limit but as many entries is compiled
-    # in plain Python and handed to numpy.
-    with backend(3):
-        assert type(solver._head_rows(two_action_model, 0.5)) is embedded.ArrayRows
+        assert type(general._compile(truncated)[1]) is embedded.ListRows
 
 
 @st.composite
@@ -93,26 +93,6 @@ def test_cbp_results_are_identical(case):
     assert_same_on_both(lambda: brute_force_table(model, cap=200))
 
 
-@st.composite
-def _general_case(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        return far_jumping_model(rng, draw(st.integers(1, 12)))
-    model = random_cbp_model(rng, max_m=5, ks=(0, 2, 3), zero_death_prob=0.3)
-    reach = max(mech.max_k for mech in model.mechanisms.values())
-    return cbp_truncate(model, None, model.m + reach + draw(st.integers(1, 30)))
-
-
-@given(_general_case())
-@settings(max_examples=120, deadline=None)
-def test_general_results_are_identical(model):
-    def run():
-        trace = []
-        return value_iterate(model, trace=trace), trace
-
-    assert_same_on_both(run)
-
-
 def test_ladder_sized_head_is_identical():
     # The top rung of the large_head benchmark ladder: m = 700, four actions
     # of one birth shape reaching 3 states up, solved from the worst start.
@@ -123,18 +103,3 @@ def test_ladder_sized_head_is_identical():
     model = validate_cbp_model(m, {i: list(mechs) for i in range(1, m + 1)}, list(mechs), mechs)
     report = assert_same_on_both(lambda: solve(model, start_head={i: "a3" for i in range(1, m + 1)}))
     assert "IterationRecord" in report and "raised" not in report
-
-
-def test_truncated_general_backends_meet_at_the_limit():
-    # cbp_truncate's operator just below and at the limit.
-    mechs = {"a": {0: 1.0, 2: 1.1}, "b": {0: 1.0, 2: 1.01}}
-    model = validate_cbp_model(3, {i: ["a", "b"] for i in range(1, 4)}, ["b"], mechs)
-    truncated = cbp_truncate(model, None, 40)
-    with backend(LIST):
-        size = sum(map(len, general._compile(truncated)[1].entries))
-    with backend(size + 1):
-        assert type(general._compile(truncated)[1]) is embedded.ListRows
-        listed = repr(value_iterate(truncated))
-    with backend(size):
-        assert type(general._compile(truncated)[1]) is embedded.ArrayRows
-        assert repr(value_iterate(truncated)) == listed

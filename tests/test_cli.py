@@ -34,6 +34,16 @@ GENERAL = {
     },
 }
 
+# TWO_ACTION over a head of 199 states, each admitting both actions.
+WIDE_HEAD = {
+    "kind": "cbp",
+    "cbp": {
+        **TWO_ACTION["cbp"],
+        "m": 199,
+        "admissible": {str(i): ["a1", "a2"] for i in range(1, 200)},
+    },
+}
+
 
 def _cbp_with(b=None, admissible=None, tail=None) -> dict:
     """A one-action m=1 branching model file with the given fields replaced."""
@@ -437,6 +447,15 @@ def _bundled(name: str) -> str:
         ],
         pytest.param(["general"], _bundled("general_split.json"), 0, id="general_general_split"),
         pytest.param(["brute", "--cap", "1"], _bundled("two_action.json"), 3, id="brute_over_cap"),
+        # General models run in plain Python at every size: about 600 entries.
+        pytest.param(
+            ["general"],
+            model_to_doc(cbp_truncate(parse_model(TWO_ACTION), None, 300)),
+            0,
+            id="general_truncation_300",
+        ),
+        # 398 head rows, below the numpy threshold, with about 800 entries.
+        pytest.param(["solve"], WIDE_HEAD, 0, id="solve_398_rows"),
     ],
 )
 def test_command_does_not_import_numpy(tmp_path, argv, doc, code):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,14 @@ LEAST = [0.25, 0.5, 0.125]
 def rows(request):
     if request.param == "list":
         return ListRows(ACTIONS, STATE_PTR, ENTRIES)
-    return ArrayRows.from_entries(ACTIONS, STATE_PTR, ENTRIES)
+    # ENTRIES entry by entry: its row, column and weight.
+    return ArrayRows(
+        ACTIONS,
+        STATE_PTR,
+        np.array([0, 0, 1, 1, 2, 3, 4, 4, 5]),
+        np.array([3, 1, 3, 2, 1, 3, 0, 3, 3]),
+        np.array([0.5, 0.5, 0.125, 0.5, 0.5, 0.5, 0.5, 0.25, 0.125]),
+    )
 
 
 class TestJumpRowsContract:
