@@ -9,7 +9,8 @@ operator that policy evaluation, improvement and the optimality-equation
 certificate go through, for branching and general models alike.
 
 Those three are written once, over plain lists; a backend keeps only the
-data layout.  :class:`ListRows` keeps each row as a Python list, and
+data layout and the defect of a solved system, which numpy finds in one
+pass.  :class:`ListRows` keeps each row as a Python list, and
 :class:`ArrayRows` the entries in numpy arrays.  General models always
 compile to ``ListRows``; only a large branching head
 (``solver.ARRAY_HEAD_ROWS`` rows or more) is built as ``ArrayRows``.  Both
@@ -47,7 +48,10 @@ class JumpRows:
     - ``_triplets(chosen)``: ``(row, col, weight, c)`` of the policy's
       system over the leading ``len(chosen)`` states, state s playing row
       ``chosen[s]``: U's entries, dropping those into later states, and the
-      target masses c.
+      target masses c;
+    - ``defect(x, held, chosen)``: sup over s of |x[s] - the value of row
+      ``chosen[s]`` at ``held``|, 0.0 for no states; the sup-norm defect of
+      a solved policy system.
     """
 
     def __init__(self, actions: tuple[str, ...], state_ptr: list[int]):
@@ -79,8 +83,7 @@ class JumpRows:
             return head, None
         held = x + [0.0] * (self.n - k)
         held.append(1.0)
-        again = self.candidates(held, chosen)
-        return head, max(map(abs, map(operator.sub, x, again)), default=0.0)
+        return head, self.defect(x, held, chosen)
 
     def improve(
         self, chosen: list[int], values, held: list[float]
@@ -140,6 +143,10 @@ class ListRows(JumpRows):
             first.append(at)
         return best, first
 
+    def defect(self, x, held, chosen) -> float:
+        again = self.candidates(held, chosen)
+        return max(map(abs, map(operator.sub, x, again)), default=0.0)
+
     def _triplets(self, chosen):
         k, target = len(chosen), self.n
         row, col, weight = [], [], []
@@ -190,6 +197,13 @@ class ArrayRows(JumpRows):
         # argmin takes the first of equal values
         first = self._ptr + np.append(cand, np.inf)[self._pad].argmin(axis=1)
         return cand[first].tolist(), first.tolist()
+
+    def defect(self, x, held, chosen) -> float:
+        import numpy as np
+
+        # a NaN anywhere gives a NaN defect, where max() over a list may skip it
+        again = self.candidates(held)[np.fromiter(chosen, np.intp, len(chosen))]
+        return float(np.abs(np.fromiter(x, float, len(x)) - again).max(initial=0.0))
 
     def _triplets(self, chosen):
         import numpy as np

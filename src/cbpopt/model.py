@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from types import MappingProxyType
 from typing import Hashable, Mapping, Sequence
 
@@ -32,6 +35,13 @@ State = Hashable
 
 # Supplied diagonals must cancel the off-diagonal sum this closely.
 DIAGONAL_TOL = 1e-9
+
+
+def _left_sum(values) -> float:
+    """The floats ``values`` added left to right.  The builtin ``sum``
+    compensates rounding since Python 3.12, so its bits depend on the
+    Python version; this sum's do not."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _rate(value) -> float | None:
@@ -69,7 +79,7 @@ class BranchingMechanism:
 
     def drift(self) -> float:
         """Mean offspring-rate drift sum_k k*b_k; its sign decides criticality."""
-        return self.b1 + sum(k * r for k, r in self.support.items())
+        return self.b1 + _left_sum(k * r for k, r in self.support.items())
 
     def offspring_pmf(self) -> dict[int, float]:
         """Jump distribution of the embedded chain: k -> b_k / |b1|."""
@@ -109,7 +119,7 @@ def validate_mechanism(raw: Mapping[int, float]) -> BranchingMechanism:
     kept = dict(sorted(kept.items()))
     if sum(r for k, r in kept.items() if k >= 2) <= 0.0:
         raise TrivialMechanism("no offspring production: every rate for k>=2 vanishes")
-    b1 = -sum(kept.values())
+    b1 = -_left_sum(kept.values())
     if not math.isfinite(b1):
         raise RateOverflow(f"the rates sum to {-b1}, which a float cannot hold")
     return BranchingMechanism(support=MappingProxyType(kept), b1=b1, max_k=max(kept))
@@ -175,11 +185,22 @@ def validate_cbp_model(
     for i in admissible:
         if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= m:
             raise ValidationError(f"admissible map key {i!r} is not a state in 1..{m}")
+    # Each distinct list or tuple of strings is cleaned once.  Every other
+    # value goes through clean at its own state, so the first error and its
+    # text stay those of a check per state.
+    cleaned: dict[tuple[str, ...], tuple[str, ...]] = {}
     head = []
     for i in range(1, m + 1):
         if i not in admissible:
             raise EmptyActionSet(f"no admissible actions at state {i}", state=i)
-        head.append(clean(admissible[i], i))
+        ids = admissible[i]
+        if isinstance(ids, (list, tuple)) and all(map(isinstance, ids, repeat(str))):
+            key = tuple(ids)
+            if key not in cleaned:
+                cleaned[key] = clean(ids, i)
+            head.append(cleaned[key])
+        else:
+            head.append(clean(ids, i))
     tail = clean(tail_actions, "the tail set")
     return CbpModel(
         m=m,
@@ -259,6 +280,7 @@ def validate_general_model(
             raise ValidationError(f"rate row references unknown state {i!r}")
         raw = raw_rows[(i, a)]
         offdiag: dict[State, float] = {}
+        total = 0.0  # added left to right, as _left_sum does
         diagonal = None
         for j in raw:
             if j not in order:
@@ -289,7 +311,7 @@ def validate_general_model(
                 )
             if rate > 0.0:
                 offdiag[j] = rate
-        total = sum(offdiag.values())
+                total += rate
         if not math.isfinite(total):
             raise RateOverflow(
                 f"the rates in row ({i!r}, {a!r}) sum to {total}, which a float cannot hold"

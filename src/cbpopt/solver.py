@@ -11,11 +11,17 @@ action only where its one-jump value strictly beats the current value, so the
 extinction profile decreases monotonically and the iteration visits each head
 policy at most once.  :func:`_head_rows` is the one place where a backend
 for the compiled rows is picked, by the number of head rows.
+
+Outside the banded elimination, a solve walks the head states as few times
+as it can: a large head is compiled by numpy in one pass over all rows,
+policies are validated by one C-level pass, and the scans for no-death
+actions are skipped when the model has none.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -113,9 +119,10 @@ def zero_death_cutoff(model: CbpModel) -> int:
     role here.
     """
     no_death = _no_death_actions(model)
-    for i, choices in enumerate(model.admissible, 1):
-        if not no_death.isdisjoint(choices):
-            return i
+    if no_death:
+        for i, choices in enumerate(model.admissible, 1):
+            if not no_death.isdisjoint(choices):
+                return i
     return model.m + 1
 
 
@@ -141,11 +148,12 @@ def validate_policy(model: CbpModel, f: Policy) -> None:
         raise InadmissibleAction(
             f"policy head covers {len(f.head)} states but the model has m={model.m}"
         )
-    for i in range(1, model.m + 1):
-        if f.head[i - 1] not in model.admissible[i - 1]:
-            raise InadmissibleAction(
-                f"action {f.head[i - 1]!r} is not admissible at state {i}", state=i
-            )
+    if not all(map(operator.contains, model.admissible, f.head)):
+        for i in range(1, model.m + 1):
+            if f.head[i - 1] not in model.admissible[i - 1]:
+                raise InadmissibleAction(
+                    f"action {f.head[i - 1]!r} is not admissible at state {i}", state=i
+                )
     if f.tail not in model.tail_actions:
         raise InadmissibleAction(f"tail action {f.tail!r} is not in the shared tail set")
 
@@ -165,7 +173,7 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
     more is compiled by numpy to :class:`ArrayRows`, so it imports numpy; a
     smaller one is compiled in plain Python to :class:`ListRows`.
     """
-    actions = tuple(a for choices in model.admissible for a in choices)
+    actions = tuple(itertools.chain.from_iterable(model.admissible))
     state_ptr = list(itertools.accumulate(map(len, model.admissible[:-1]), initial=0))
     if len(actions) >= ARRAY_HEAD_ROWS:
         return _head_arrays(model, rho_star_value, actions, state_ptr)
@@ -187,37 +195,53 @@ def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
 
 
 def _head_arrays(model: CbpModel, rho_star_value: float, actions, state_ptr) -> ArrayRows:
-    """:func:`_head_rows` by numpy, for large heads."""
+    """:func:`_head_rows` by numpy, for large heads, in one pass over all rows.
+
+    A table padded to the widest support holds each action's offspring counts
+    and pmf values; row r reads the line of its action.  Padding counts are
+    m, whose landings always leave the head, so one ``inside`` mask over all
+    rows picks the in-head entries, row by row in ascending k.  Only rows
+    from state m + 1 - max_k on can jump out of the head, so their tail
+    terms are found by a loop over those rows alone and stored after every
+    in-head entry.  Each row thus keeps the summation order of
+    :class:`ListRows`, which ``bincount`` follows.
+    """
     import numpy as np
 
     m = model.m
-    code = {a: c for c, a in enumerate(sorted(set(actions)))}
-    row_code = np.fromiter(map(code.__getitem__, actions), np.int64, len(actions))
-    row_state = np.repeat(np.arange(1, m + 1), [len(choices) for choices in model.admissible])
-    ent_row, ent_col, ent_weight = [], [], []
+    names = sorted(set(actions))
+    mechs = {a: model.mechanism(a) for a in names}
+    width = max(len(mech.support) for mech in mechs.values())
+    ks = np.full((len(names), width), m, dtype=np.int64)
+    ps = np.zeros((len(names), width))
+    for c, mech in enumerate(mechs.values()):
+        pmf = mech.offspring_pmf()
+        ks[c, : len(pmf)] = list(pmf)
+        ps[c, : len(pmf)] = list(pmf.values())
+    code = {a: c for c, a in enumerate(names)}
+    row_code = np.fromiter(map(code.__getitem__, actions), np.intp, len(actions))
+    counts = np.fromiter(map(len, model.admissible), np.intp, m)
+    landing = np.repeat(np.arange(m), counts)[:, None] + ks[row_code]
+    inside = landing < m
+    ent_row = np.nonzero(inside)[0]
+    ent_col = landing[inside] - 1
+    ent_col[ent_col < 0] = m
     tail_rows, tail_weights = [], []
-    for a, c in code.items():
-        mech = model.mechanism(a)
-        rows = np.flatnonzero(row_code == c)
-        ks = np.fromiter(mech.support, dtype=np.int64, count=len(mech.support))
-        ps = np.fromiter(mech.offspring_pmf().values(), dtype=float, count=len(ks))
-        landing = row_state[rows, None] - 1 + ks
-        inside = landing < m
-        ent_row.append(np.broadcast_to(rows[:, None], landing.shape)[inside])
-        ent_col.append(np.where(landing == 0, m, landing - 1)[inside])
-        ent_weight.append(np.broadcast_to(ps, landing.shape)[inside])
-        for r in rows[~inside.all(axis=1)]:
-            tail_rows.append(r)
-            tail_weights.append(tail_weight(mech, int(row_state[r]), m, rho_star_value))
-    ent_row.append(np.asarray(tail_rows, dtype=np.int64))
-    ent_col.append(np.full(len(tail_rows), m - 1))
-    ent_weight.append(np.asarray(tail_weights, dtype=float))
+    first = max(1, m + 1 - max(mech.max_k for mech in mechs.values()))
+    r = state_ptr[first - 1]
+    for i in range(first, m + 1):
+        for a in model.admissible[i - 1]:
+            mech = mechs[a]
+            if i - 1 + mech.max_k >= m:
+                tail_rows.append(r)
+                tail_weights.append(tail_weight(mech, i, m, rho_star_value))
+            r += 1
     return ArrayRows(
         actions,
         state_ptr,
-        np.concatenate(ent_row),
-        np.concatenate(ent_col),
-        np.concatenate(ent_weight),
+        np.concatenate([ent_row, np.array(tail_rows, dtype=np.intp)]),
+        np.concatenate([ent_col, np.full(len(tail_rows), m - 1)]),
+        np.concatenate([ps[row_code][inside], tail_weights]),
     )
 
 
@@ -228,7 +252,8 @@ def _evaluate(model, rows, chosen, rho_star, no_death) -> ExtinctionProfile:
     leading i0 - 1 states are solved; without one all m are.
     """
     actions = rows.actions
-    i0 = next((s for s, r in enumerate(chosen, 1) if actions[r] in no_death), None)
+    scan = enumerate(chosen, 1) if no_death else ()
+    i0 = next((s for s, r in scan if actions[r] in no_death), None)
     kind = GEOMETRIC if i0 is None else ZERO
     chosen = chosen if i0 is None else chosen[: i0 - 1]
     try:
@@ -337,7 +362,7 @@ def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[l
     sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
     for (chosen, profile), _, moved, best in sweeps:
         policy = Policy(rows.played(chosen), f.tail)
-        records.append(IterationRecord(policy, profile, tuple(s + 1 for s in moved)))
+        records.append(IterationRecord(policy, profile, tuple(map((1).__add__, moved))))
     return records, oe_defect(profile.head_values, best, cutoff - 1)
 
 
@@ -362,7 +387,7 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
         if root not in solves:
             rows = _head_rows(model, root)
             solves[root] = a, *_head_iteration(model, rows, root, cutoff, no_death, f)
-    _, records, residual = solves[roots.rho_star]
+    _, records, residual = solves.pop(roots.rho_star)
     final = records[-1]
     for a, alt, _ in solves.values():
         gaps = zip(alt[-1].profile.head_values, final.profile.head_values)

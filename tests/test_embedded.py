@@ -25,10 +25,7 @@ HELD = [*VALUES, 1.0]
 LEAST = [0.25, 0.5, 0.125]
 
 
-@pytest.fixture(params=["list", "array"])
-def rows(request):
-    if request.param == "list":
-        return ListRows(ACTIONS, STATE_PTR, ENTRIES)
+def _array_rows():
     # ENTRIES entry by entry: its row, column and weight.
     return ArrayRows(
         ACTIONS,
@@ -37,6 +34,13 @@ def rows(request):
         np.array([3, 1, 3, 2, 1, 3, 0, 3, 3]),
         np.array([0.5, 0.5, 0.125, 0.5, 0.5, 0.5, 0.5, 0.25, 0.125]),
     )
+
+
+@pytest.fixture(params=["list", "array"])
+def rows(request):
+    if request.param == "list":
+        return ListRows(ACTIONS, STATE_PTR, ENTRIES)
+    return _array_rows()
 
 
 class TestJumpRowsContract:
@@ -70,6 +74,13 @@ class TestJumpRowsContract:
         for zero_from in range(5):
             assert oe_defect(VALUES, LEAST, zero_from) == rows.oe_residual(VALUES, HELD, zero_from)
 
+    def test_defect(self, rows):
+        # Rows 1, 3 and 5 value 0.25, 0.5 and 0.125 at HELD.
+        defect = rows.defect(VALUES, HELD, [1, 3, 5])
+        assert defect == 0.25 and type(defect) is float
+        assert rows.defect(VALUES[:2], [*VALUES[:2], 0.0, 1.0], [3, 3]) == 0.0
+        assert rows.defect([], [0.0, 0.0, 0.0, 1.0], []) == 0.0
+
     def test_evaluate(self, rows):
         assert rows.evaluate([1, 3, 5]) == ([0.1875, 0.5, 0.125], 0.0)
         # State 2 is held at zero.
@@ -80,6 +91,13 @@ class TestJumpRowsContract:
         head, defect = rows.evaluate([])
         assert (head, defect) == ([], 0.0)
         assert type(defect) is float
+
+
+def test_array_defect_of_a_nan_is_nan():
+    # numpy's max keeps a NaN wherever it is; max() over a list would skip
+    # one that is not first.
+    x = [0.5, 0.5, float("nan")]
+    assert np.isnan(_array_rows().defect(x, [*x, 1.0], [1, 3, 5]))
 
 
 class TestEmbeddedRow:

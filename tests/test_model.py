@@ -1,4 +1,6 @@
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -58,7 +60,15 @@ class TestMechanism:
 
     @given(mechanism_st())
     def test_rates_sum_to_zero_exactly(self, mech):
-        assert sum(mech.support.values()) + mech.b1 == 0.0
+        # Added left to right, as validation adds them.
+        assert reduce(operator.add, mech.support.values(), 0.0) + mech.b1 == 0.0
+
+    def test_rates_add_left_to_right(self):
+        # Compensated summation, the builtin sum's since Python 3.12, gives
+        # b1 = -1.0 here and a drift of 0.5000000000000001 below; left to
+        # right, every Python version gives the bits of the versions before.
+        assert validate_mechanism({k: 0.1 for k in (0, *range(2, 11))}).b1 == -0.9999999999999999
+        assert validate_mechanism({k: 0.1 for k in (0, 2, 3, 4)}).drift() == 0.5
 
     @given(mechanism_st())
     def test_diagonal_dominates_births(self, mech):
@@ -102,6 +112,22 @@ class TestCbpModel:
         with pytest.raises(EmptyActionSet):
             validate_cbp_model(2, {1: ["a1"]}, ["a1"], {"a1": {0: 1.0, 2: 1.0}})
 
+    def test_repeated_bad_list_names_its_first_state(self):
+        admissible = {i: ["a1"] for i in range(1, 7)}
+        admissible[2] = admissible[5] = ["a1", "ghost"]
+        with pytest.raises(UnknownActionId, match=r"\(at 2\)"):
+            validate_cbp_model(6, admissible, ["a1"], {"a1": {0: 1.0, 2: 1.0}})
+
+    def test_unhashable_action_id_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"must be strings, got \['a1'\] at 2"):
+            validate_cbp_model(2, {1: ["a1"], 2: [["a1"]]}, ["a1"], {"a1": {0: 1.0, 2: 1.0}})
+
+    def test_equal_lists_clean_alike(self):
+        mechs = {"a1": {0: 1.0, 2: 1.0}, "a2": {0: 2.0, 2: 1.0}}
+        admissible = {1: ["a2", "a1"], 2: ("a2", "a1"), 3: ["a1", "a2", "a1"], 4: ["a2", "a1"]}
+        model = validate_cbp_model(4, admissible, ["a1"], mechs)
+        assert model.admissible == (("a1", "a2"),) * 4
+
     def test_m_zero(self):
         with pytest.raises(MZero):
             validate_cbp_model(0, {}, ["a1"], {"a1": {0: 1.0, 2: 1.0}})
@@ -144,6 +170,13 @@ class TestGeneralModel:
         )
         assert model.exit_rates[(1, "a")] == 4.0
         assert model.rate_row(1, "a")[1] == -4.0
+
+    def test_exit_rate_adds_left_to_right(self):
+        # Ten rates of 0.1, which compensated summation would add to 1.0.
+        rows = {(i, "a"): {0: 1.0} for i in range(1, 10)}
+        rows[(10, "a")] = {j: 0.1 for j in [*range(9), "delta"]}
+        model = validate_general_model([*range(11), "delta"], [0], "delta", rows)
+        assert model.exit_rates[(10, "a")] == 0.9999999999999999
 
     def test_zero_exit_rate(self):
         with pytest.raises(ZeroExitRate):

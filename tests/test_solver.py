@@ -28,6 +28,7 @@ from cbpopt import (
     zero_death_cutoff,
 )
 from cbpopt import solver
+from cbpopt.embedded import ArrayRows, ListRows
 from cbpopt.solver import _head_rows
 from conftest import bisect_min_root, embedded_row, random_cbp_model, random_mechanism_entries
 
@@ -177,6 +178,53 @@ def _reference_system(model, head, rho_value):
         if i0 is None:
             U[i - 1, m - 1] = tail_weight(mech, i, m, rho_value)
     return U, c, i0
+
+
+@st.composite
+def _random_head(draw):
+    """A head of m = 1..40 states over 1..4 actions with supports in
+    {0, 2..8}, some without death; each state admits its own subset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mechanisms = {}
+    for j in range(int(rng.integers(1, 5))):
+        births = [k for k in range(2, 9) if rng.random() < 0.4] or [int(rng.integers(2, 9))]
+        ks = births if rng.random() < 0.3 else [0, *births]
+        mechanisms[f"a{j}"] = {k: float(rng.uniform(0.1, 3.0)) for k in ks}
+    ids = list(mechanisms)
+    m = int(rng.integers(1, 41))
+    admissible = {
+        i: [a for a in ids if rng.random() < 0.6] or [ids[int(rng.integers(len(ids)))]]
+        for i in range(1, m + 1)
+    }
+    return validate_cbp_model(m, admissible, ids, mechanisms), float(rng.uniform(0.0, 1.0))
+
+
+def _compiled(model, rho_value, limit):
+    saved = solver.ARRAY_HEAD_ROWS
+    solver.ARRAY_HEAD_ROWS = limit
+    try:
+        return _head_rows(model, rho_value)
+    finally:
+        solver.ARRAY_HEAD_ROWS = saved
+
+
+@given(_random_head())
+@settings(max_examples=150, deadline=None)
+def test_array_head_rows_keep_the_list_summation_order(case):
+    # ArrayRows sums each row in array order (bincount), ListRows in list
+    # order; the two give the same bits only if every row's entries come in
+    # the same order: target, in-head terms ascending, tail term last.
+    model, rho_value = case
+    arrays = _compiled(model, rho_value, 0)
+    lists = _compiled(model, rho_value, math.inf)
+    assert (type(arrays), type(lists)) == (ArrayRows, ListRows)
+    assert (arrays.actions, arrays.state_ptr) == (lists.actions, lists.state_ptr)
+    by_row = [[] for _ in arrays.actions]
+    for r, col, weight in zip(
+        arrays.ent_row.tolist(), arrays.ent_col.tolist(), arrays.ent_weight.tolist()
+    ):
+        by_row[r].append((col, weight.hex()))
+    assert by_row == [[(col, weight.hex()) for col, weight in row] for row in lists.entries]
 
 
 class TestDefaultPolicy:
