@@ -24,15 +24,15 @@ _EXPORTS = {
         criticality eval_gen_fn rho rho_star""",
     "general": "CEMETERY HittingSolution cbp_truncate value_iterate",
     "linsys": "UnitSystem has_invertible_structure solve_unit",
-    "model": """BranchingMechanism CbpModel GeneralModel validate_cbp_model
-        validate_general_model validate_mechanism""",
+    "model": """BranchingMechanism CbpModel GeneralModel Policy default_policy
+        validate_cbp_model validate_general_model validate_mechanism
+        validate_policy""",
     "modelfile": "dump_json load_model model_to_doc parse_model parse_policy_spec",
     "sim": """CENSORED_JUMPS CENSORED_POPULATION EXTINCT EpEstimate SimCaps
         SimOutcome estimate_ep simulate_trajectory wilson_interval""",
-    "solver": """GEOMETRIC ZERO ExtinctionProfile IterationRecord Policy
-        SolveReport brute_force brute_force_table default_policy
-        evaluate_policy improve_policy solve validate_policy verify_oe
-        zero_death_cutoff""",
+    "solver": """GEOMETRIC ZERO ExtinctionProfile IterationRecord SolveReport
+        brute_force brute_force_table evaluate_policy improve_policy solve
+        verify_oe zero_death_cutoff""",
 }
 # Public name -> the submodule that defines it.
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

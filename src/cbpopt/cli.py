@@ -6,14 +6,14 @@ failure, 3 usage error; a reader that closes stdout early is no failure
 report.
 
 Only ``errors``, ``model`` and ``modelfile`` load with this module.  Each
-command imports its compute modules (``gen_fn``, ``solver``, ``sim``,
-``general``) once its model file is loaded and validated and its policy spec
-parsed.  So ``rho``, whose roots are pure Python, and every command that fails
-before it computes (unreadable or invalid files, the wrong model kind, a
-malformed policy spec, ``brute`` over its cap) never import numpy.  Neither
-does ``general``, at any size, nor do ``solve``, ``evaluate`` and ``brute`` on
-a head of fewer than ``solver.ARRAY_HEAD_ROWS`` (state, action) rows;
-``simulate`` always does.
+command imports its compute modules once its model file is loaded and
+validated and its policy spec parsed; only ``solve``, ``evaluate`` and
+``brute`` load ``solver``.  So ``rho``, whose roots are pure Python, and every
+command that fails before it computes (unreadable or invalid files, the wrong
+model kind, a malformed policy spec, ``brute`` over its cap) never import
+numpy.  Neither does ``general``, at any size, nor do ``solve``,
+``evaluate`` and ``brute`` on a head of fewer than ``solver.ARRAY_HEAD_ROWS``
+(state, action) rows; ``simulate`` always does.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import sys
 from typing import TYPE_CHECKING
 
 from .errors import NumericalError, UsageError, ValidationError
-from .model import CbpModel, GeneralModel
+from .model import CbpModel, GeneralModel, Policy, default_policy
 from .modelfile import dump_json, load_model, parse_policy_spec
 
 if TYPE_CHECKING:
-    from .solver import ExtinctionProfile, IterationRecord, Policy
+    from .solver import ExtinctionProfile, IterationRecord
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -240,13 +240,19 @@ def _cmd_solve(args):
     return report, "\n".join(lines)
 
 
-def _cmd_evaluate(args):
+def _model_roots_policy(args):
     model = _require_cbp(load_model(args.model))
     overrides = parse_policy_spec(args.policy)
-    from . import gen_fn, solver
+    from . import gen_fn
 
     roots = gen_fn.rho_star(model)
-    f = solver.default_policy(model, roots.a_star, overrides)
+    return model, roots, default_policy(model, roots.a_star, overrides)
+
+
+def _cmd_evaluate(args):
+    model, roots, f = _model_roots_policy(args)
+    from . import solver
+
     profile = solver.evaluate_policy(model, f, roots.rho_star)
     report = {
         "policy": _policy_doc(f),
@@ -258,12 +264,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_simulate(args):
-    model = _require_cbp(load_model(args.model))
-    overrides = parse_policy_spec(args.policy)
-    from . import gen_fn, sim, solver
+    model, _, f = _model_roots_policy(args)
+    from . import sim
 
-    roots = gen_fn.rho_star(model)
-    f = solver.default_policy(model, roots.a_star, overrides)
     caps = sim.SimCaps(max_jumps=args.max_jumps, max_pop=args.max_pop)
     estimate = sim.estimate_ep(model, f, args.start, args.n, caps, args.seed)
     report = {

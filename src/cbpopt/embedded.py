@@ -1,4 +1,4 @@
-"""The discounted tail weight and the compiled one-jump operator.
+"""The discounted tail weight, the compiled one-jump operator and its loop.
 
 A branching jump from population i lands on i - 1 + k with probability
 b_k / |b1|, independent of i after the shift; the self-transition is zero by
@@ -6,7 +6,8 @@ convention.  The tail weight folds the geometric continuation of values above
 the head threshold back into the head system, closing it at finite size.
 :class:`JumpRows` holds one compiled row per (state, action) and is the one
 operator that policy evaluation, improvement and the optimality-equation
-certificate go through, for branching and general models alike.
+certificate go through; :func:`policy_iteration` is the one loop over them,
+for branching and general models alike.
 
 Those three are written once, over plain lists; a backend keeps only the
 data layout and the defect of a solved system, which numpy finds in one
@@ -41,8 +42,8 @@ class JumpRows:
     Evaluation, improvement and the optimality-equation certificate are
     written here once.  A backend supplies only its data layout:
 
-    - ``candidates(x, rows=None)``: every row's value at value vector x, in
-      the form ``least`` reads; given a list of ``rows``, their values;
+    - ``candidates(x)``: every row's value at value vector x, in the form
+      ``least`` reads;
     - ``least(cand)``: lists of each state's least row value and of the
       first (smallest-id) row attaining it;
     - ``_triplets(chosen)``: ``(row, col, weight, c)`` of the policy's
@@ -71,19 +72,20 @@ class JumpRows:
         """The action of each row in ``chosen``."""
         return tuple(map(self.actions.__getitem__, chosen))
 
+    def value_vector(self, values) -> list[float]:
+        """``values`` at the leading states, then zeros, then the target's 1."""
+        return [*values, *[0.0] * (self.n - len(values)), 1.0]
+
     def evaluate(self, chosen: list[int], residual: bool = True) -> tuple[list, float | None]:
         """Values of the policy playing ``chosen`` at the leading states,
         later states held at zero, clipped to [0, 1]; and, if asked, the
         sup-norm defect of its linear system before clipping."""
-        k = len(chosen)
-        x = solve_banded(k, *self._triplets(chosen))
+        x = solve_banded(len(chosen), *self._triplets(chosen))
         # -0.0 is not below 0.0, so it stays -0.0, as under np.clip
         head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
         if not residual:
             return head, None
-        held = x + [0.0] * (self.n - k)
-        held.append(1.0)
-        return head, self.defect(x, held, chosen)
+        return head, self.defect(x, self.value_vector(x), chosen)
 
     def improve(
         self, chosen: list[int], values, held: list[float]
@@ -104,6 +106,37 @@ class JumpRows:
         """:func:`oe_defect` of ``values`` against the least one-jump values
         at ``held``."""
         return oe_defect(values, self.least(self.candidates(held))[0], zero_from)
+
+
+def policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
+    """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
+
+    ``evaluate(chosen)`` returns a record of the policy playing rows
+    ``chosen``, the values of the leading states open to improvement and the
+    value vector ``held``.  Each such state moves to its smallest-id best row
+    at ``held`` only if that is strictly below its value.  Values never rise
+    in exact arithmetic, so no policy comes twice there; a sweep that would
+    bring one back differs from the current policy by rounding alone, and the
+    loop stops at the current one.  Every other sweep adds a policy to
+    ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
+    states, least one-jump values at held)`` per sweep.  Only the last
+    sweep's least values certify the final policy, so every earlier sweep
+    yields None in their place, and its vectors are dropped before the next
+    evaluation.
+    """
+    seen = set()
+    while True:
+        seen.add(tuple(chosen))
+        record, values, held = evaluate(chosen)
+        improved, changed, best = rows.improve(chosen, values, held)
+        if changed and tuple(improved) in seen:
+            improved, changed = chosen, []
+        if not changed:
+            yield record, improved, changed, best
+            return
+        del values, held, best
+        yield record, improved, changed, None
+        chosen = improved
 
 
 def oe_defect(values, best: list[float], zero_from: int) -> float:
@@ -182,14 +215,13 @@ class ArrayRows(JumpRows):
         self.ent_col = ent_col
         self.ent_weight = ent_weight
 
-    def candidates(self, x, rows=None):
+    def candidates(self, x):
         import numpy as np
 
         # fromiter reads a list about twice as fast as asarray
         flow = self.ent_weight * np.fromiter(x, float, len(x))[self.ent_col]
         # bincount of no entries at all comes back as integers
-        cand = np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
-        return cand if rows is None else cand[np.fromiter(rows, np.intp, len(rows))].tolist()
+        return np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
 
     def least(self, cand):
         import numpy as np

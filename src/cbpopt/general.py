@@ -4,14 +4,14 @@ A graph pass first gives value exactly zero to the states from which some
 policy keeps off the target surely ("Prob0E": Forejt, Kwiatkowska, Norman &
 Parker, SFM 2011, section 4).  Every policy leaves the other states with
 positive probability, so there the optimality equation has one solution,
-which ``solve``'s policy iteration reaches exactly.  Each policy is
-evaluated by one banded solve, whose lower bandwidth is the farthest jump
-back in the state order.  Branching models are truncated to a finite window,
-jumps past it going to the cemetery (value zero), so truncated values are
-lower bounds that grow with the window.
+which ``embedded``'s policy iteration, the loop behind ``solve`` too,
+reaches exactly.  Each policy is evaluated by one banded solve, whose lower
+bandwidth is the farthest jump back in the state order.  Branching models
+are truncated to a finite window, jumps past it going to the cemetery (value
+zero), so truncated values are lower bounds that grow with the window.
 
 The one-jump rows are plain-Python ``ListRows`` at every size, so this
-module never imports numpy.
+module never imports numpy; nor does it load ``solver`` or ``gen_fn``.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .embedded import JumpRows, ListRows, oe_defect
+from .embedded import JumpRows, ListRows, oe_defect, policy_iteration
 from .errors import NumericalError
-from .model import CbpModel, GeneralModel, State, validate_general_model
-from .solver import Policy, _policy_iteration, validate_policy
+from .model import CbpModel, GeneralModel, Policy, State, validate_general_model, validate_policy
 
 CEMETERY = "cemetery"
 
@@ -110,9 +109,9 @@ def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolu
         x = rows.evaluate(chosen, residual=False)[0]
         if trace is not None:
             trace.append(x)
-        return x, x, [*x, 1.0]
+        return x, x, rows.value_vector(x)
 
-    sweeps = _policy_iteration(rows, rows.state_ptr, evaluate)
+    sweeps = policy_iteration(rows, rows.state_ptr, evaluate)
     for iterations, (x, chosen, _, best) in enumerate(sweeps, 1):
         pass
     residual = oe_defect(x, best, len(interior))

@@ -1,5 +1,5 @@
-"""Domain models: branching mechanisms, controlled branching models, and
-general finite rate models.
+"""Domain models: branching mechanisms, controlled branching models and their
+stationary policies, and general finite rate models.
 
 Raw inputs are sparse dictionaries.  Validation derives diagonal rates (never
 trusts them), rejects inconsistent rows, and returns immutable objects that
@@ -20,6 +20,7 @@ from typing import Hashable, Mapping, Sequence
 from .errors import (
     EmptyActionSet,
     EntryForKEqualsOne,
+    InadmissibleAction,
     MZero,
     NegativeRate,
     NonConservativeRow,
@@ -35,6 +36,8 @@ State = Hashable
 
 # Supplied diagonals must cancel the off-diagonal sum this closely.
 DIAGONAL_TOL = 1e-9
+# Root finding allocates one coefficient per offspring count up to the largest.
+MAX_OFFSPRING = 10**7
 
 
 def _left_sum(values) -> float:
@@ -54,6 +57,21 @@ def _rate(value) -> float | None:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _is_integer(value) -> bool:
+    """Whether ``operator.index`` takes ``value`` and it is not a bool."""
+    kind = type(value)
+    return kind is int or kind is not bool and hasattr(kind, "__index__")
+
+
+def population_state(i) -> int:
+    """``i`` as a population state: an integer, not ``True`` or ``1.0``, from 1 on."""
+    if not _is_integer(i):
+        raise TypeError(f"population state {i!r} is not an integer")
+    if i < 1:
+        raise ValueError("population states start at 1")
+    return operator.index(i)
 
 
 @dataclass(frozen=True)
@@ -107,8 +125,8 @@ def validate_mechanism(raw: Mapping[int, float]) -> BranchingMechanism:
             raise EntryForKEqualsOne(
                 "the rate for k=1 is the derived diagonal and cannot be supplied"
             )
-        if k < 0:
-            raise ValidationError(f"offspring count must be nonnegative, got {k}")
+        if not 0 <= k <= MAX_OFFSPRING:
+            raise ValidationError(f"offspring count must lie in 0..{MAX_OFFSPRING}, got {k}")
         rate = _rate(raw[k])
         if rate is None:
             raise NegativeRate(f"rate for k={k} is not a number: {raw[k]!r}", k=k)
@@ -140,8 +158,7 @@ class CbpModel:
     mechanisms: Mapping[str, BranchingMechanism]
 
     def actions_at(self, i: int) -> tuple[str, ...]:
-        if i < 1:
-            raise ValueError("population states start at 1")
+        i = population_state(i)
         return self.admissible[i - 1] if i <= self.m else self.tail_actions
 
     def mechanism(self, action_id: str) -> BranchingMechanism:
@@ -183,8 +200,8 @@ def validate_cbp_model(
         return out
 
     for i in admissible:
-        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= m:
-            raise ValidationError(f"admissible map key {i!r} is not a state in 1..{m}")
+        if not _is_integer(i) or not 1 <= i <= m:
+            raise ValidationError(f"admissible map key {i!r} is not an integer in 1..{m}")
     # Each distinct list or tuple of strings is cleaned once.  Every other
     # value goes through clean at its own state, so the first error and its
     # text stay those of a check per state.
@@ -208,6 +225,57 @@ def validate_cbp_model(
         tail_actions=tail,
         mechanisms=MappingProxyType(mechs),
     )
+
+
+@dataclass(frozen=True)
+class Policy:
+    """Stationary policy: explicit head choices for 1..m, one pinned tail action."""
+
+    head: tuple[str, ...]
+    tail: str
+
+    @property
+    def m(self) -> int:
+        return len(self.head)
+
+    def action_at(self, i: int) -> str:
+        i = population_state(i)
+        return self.head[i - 1] if i <= len(self.head) else self.tail
+
+
+def default_policy(model: CbpModel, tail: str, overrides: Mapping | None = None) -> Policy:
+    """Smallest-id head choice at every state, with the given tail action.
+
+    ``overrides`` maps head states to the actions played there instead.  A
+    state that is not an integer in 1..m, an action not admissible at its
+    state or a tail action outside the shared tail set raises
+    InadmissibleAction.
+    """
+    head = [choices[0] for choices in model.admissible]
+    for i, a in (overrides or {}).items():
+        if not _is_integer(i) or not 1 <= i <= model.m:
+            raise InadmissibleAction(
+                f"policy state {i!r} is not an integer in 1..{model.m}", state=i
+            )
+        head[i - 1] = a
+    f = Policy(head=tuple(head), tail=tail)
+    validate_policy(model, f)
+    return f
+
+
+def validate_policy(model: CbpModel, f: Policy) -> None:
+    if len(f.head) != model.m:
+        raise InadmissibleAction(
+            f"policy head covers {len(f.head)} states but the model has m={model.m}"
+        )
+    if not all(map(operator.contains, model.admissible, f.head)):
+        for i in range(1, model.m + 1):
+            if f.head[i - 1] not in model.admissible[i - 1]:
+                raise InadmissibleAction(
+                    f"action {f.head[i - 1]!r} is not admissible at state {i}", state=i
+                )
+    if f.tail not in model.tail_actions:
+        raise InadmissibleAction(f"tail action {f.tail!r} is not in the shared tail set")
 
 
 @dataclass(frozen=True)

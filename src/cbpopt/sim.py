@@ -26,7 +26,8 @@ waste few draws and long ones take few steps.  One step holds at most
 sizes changes a result.
 
 numpy is imported when the engine first runs, not when the module loads, so
-``SimCaps``, ``wilson_interval`` and the input checks never load it.
+``SimCaps``, ``wilson_interval`` and the input checks never load it.  Of
+this package it imports ``model`` alone, so a simulation loads no solver.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .model import CbpModel
-from .solver import Policy, validate_policy
+from .model import CbpModel, Policy, population_state, validate_policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -279,8 +279,7 @@ def _outcomes(
     trajectories first .. first + count - 1, one cohort at a time."""
     master_seed = _checked_index(master_seed, "master seed")
     validate_policy(model, f)
-    if operator.index(i0) < 1:
-        raise ValueError("the start state must be at least 1")
+    i0 = population_state(i0)
     bounds, steps = _tables(model, f)
     return (
         _advance(bounds, steps, i0, caps, _keys(master_seed, t, min(_COHORT, first + count - t)))

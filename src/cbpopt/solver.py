@@ -21,14 +21,14 @@ actions are skipped when the model has none.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import gen_fn
 from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, tail_weight
-from .errors import InadmissibleAction, NumericalError, SingularSystem, TooManyPolicies
-from .model import CbpModel
+from .embedded import policy_iteration as _policy_iteration
+from .errors import NumericalError, SingularSystem, TooManyPolicies
+from .model import CbpModel, Policy, default_policy, population_state, validate_policy
 
 GEOMETRIC = "geometric"
 ZERO = "zero"
@@ -38,23 +38,6 @@ DEFAULT_BRUTE_CAP = 100_000
 _ATTAIN_TOL = 1e-12
 # Profiles solved under tied tail actions must agree this closely.
 _TIE_PROFILE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class Policy:
-    """Stationary policy: explicit head choices for 1..m, one pinned tail action."""
-
-    head: tuple[str, ...]
-    tail: str
-
-    @property
-    def m(self) -> int:
-        return len(self.head)
-
-    def action_at(self, i: int) -> str:
-        if i < 1:
-            raise ValueError("population states start at 1")
-        return self.head[i - 1] if i <= len(self.head) else self.tail
 
 
 @dataclass(frozen=True)
@@ -78,8 +61,7 @@ class ExtinctionProfile:
         return len(self.head_values)
 
     def ep(self, i: int) -> float:
-        if i < 1:
-            raise ValueError("population states start at 1")
+        i = population_state(i)
         if i <= self.m:
             return self.head_values[i - 1]
         if self.tail_kind == ZERO:
@@ -124,38 +106,6 @@ def zero_death_cutoff(model: CbpModel) -> int:
             if not no_death.isdisjoint(choices):
                 return i
     return model.m + 1
-
-
-def default_policy(model: CbpModel, tail: str, overrides: Mapping | None = None) -> Policy:
-    """Smallest-id head choice at every state, with the given tail action.
-
-    ``overrides`` maps head states to the actions played there instead.  A
-    state outside 1..m, an action not admissible at its state or a tail
-    action outside the shared tail set raises InadmissibleAction.
-    """
-    head = [choices[0] for choices in model.admissible]
-    for i, a in (overrides or {}).items():
-        if not isinstance(i, int) or not 1 <= i <= model.m:
-            raise InadmissibleAction(f"policy assigns state {i!r} outside 1..{model.m}", state=i)
-        head[i - 1] = a
-    f = Policy(head=tuple(head), tail=tail)
-    validate_policy(model, f)
-    return f
-
-
-def validate_policy(model: CbpModel, f: Policy) -> None:
-    if len(f.head) != model.m:
-        raise InadmissibleAction(
-            f"policy head covers {len(f.head)} states but the model has m={model.m}"
-        )
-    if not all(map(operator.contains, model.admissible, f.head)):
-        for i in range(1, model.m + 1):
-            if f.head[i - 1] not in model.admissible[i - 1]:
-                raise InadmissibleAction(
-                    f"action {f.head[i - 1]!r} is not admissible at state {i}", state=i
-                )
-    if f.tail not in model.tail_actions:
-        raise InadmissibleAction(f"tail action {f.tail!r} is not in the shared tail set")
 
 
 # The in-process crossover of the two backends on head rows (CHANGES.md).
@@ -263,17 +213,9 @@ def _evaluate(model, rows, chosen, rho_star, no_death) -> ExtinctionProfile:
         raise SingularSystem(
             f"policy evaluation ({label} case, {len(chosen)}-state system): {exc}"
         ) from exc
-    if kind == GEOMETRIC:
-        return ExtinctionProfile(
-            head_values=tuple(head),
-            tail_kind=GEOMETRIC,
-            rho_star=float(rho_star),
-            residual=residual,
-        )
     head.extend([0.0] * (model.m - len(head)))
-    return ExtinctionProfile(
-        head_values=tuple(head), tail_kind=ZERO, i0=i0, residual=residual
-    )
+    rho = float(rho_star) if kind == GEOMETRIC else None
+    return ExtinctionProfile(tuple(head), kind, rho_star=rho, i0=i0, residual=residual)
 
 
 def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionProfile:
@@ -289,13 +231,11 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     return _evaluate(model, rows, rows.rows_playing(f.head), rho_star, _no_death_actions(model))
 
 
-def _held(model: CbpModel, profile: ExtinctionProfile, cutoff: int) -> list[float]:
-    """The value vector of the one-jump operator: the head values held at
-    zero from ``cutoff`` on, then the target's 1."""
-    if profile.m != model.m:
-        raise ValueError(f"profile covers {profile.m} states but the model has m={model.m}")
-    kept = min(cutoff - 1, model.m)
-    return [*profile.head_values[:kept], *[0.0] * (model.m - kept), 1.0]
+def _held(rows: JumpRows, profile: ExtinctionProfile, cutoff: int) -> list[float]:
+    """The value vector of the head values, held at zero from ``cutoff`` on."""
+    if profile.m != rows.n:
+        raise ValueError(f"profile covers {profile.m} states but the model has m={rows.n}")
+    return rows.value_vector(profile.head_values[: cutoff - 1])
 
 
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
@@ -314,40 +254,9 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
     rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
     rows = _head_rows(model, rho_star_value)
-    held = _held(model, profile, cutoff)
+    held = _held(rows, profile, cutoff)
     improved = rows.improve(rows.rows_playing(f.head), profile.head_values[:cutoff], held)[0]
     return Policy(head=rows.played(improved), tail=f.tail)
-
-
-def _policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
-    """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
-
-    ``evaluate(chosen)`` returns a record of the policy playing rows
-    ``chosen``, the values of the leading states open to improvement and the
-    value vector ``held``.  Each such state moves to its smallest-id best row
-    at ``held`` only if that is strictly below its value.  Values never rise
-    in exact arithmetic, so no policy comes twice there; a sweep that would
-    bring one back differs from the current policy by rounding alone, and the
-    loop stops at the current one.  Every other sweep adds a policy to
-    ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
-    states, least one-jump values at held)`` per sweep.  Only the last
-    sweep's least values certify the final policy, so every earlier sweep
-    yields None in their place, and its vectors are dropped before the next
-    evaluation.
-    """
-    seen = set()
-    while True:
-        seen.add(tuple(chosen))
-        record, values, held = evaluate(chosen)
-        improved, changed, best = rows.improve(chosen, values, held)
-        if changed and tuple(improved) in seen:
-            improved, changed = chosen, []
-        if not changed:
-            yield record, improved, changed, best
-            return
-        del values, held, best
-        yield record, improved, changed, None
-        chosen = improved
 
 
 def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[list, float]:
@@ -355,7 +264,7 @@ def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[l
 
     def evaluate(chosen):
         profile = _evaluate(model, rows, chosen, rho_star_value, no_death)
-        held = _held(model, profile, cutoff)
+        held = _held(rows, profile, cutoff)
         return (chosen, profile), profile.head_values[:cutoff], held
 
     records = []
@@ -426,7 +335,7 @@ def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
         # Below a cutoff the tail column is held at zero and the ratio is moot.
         rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
     rows = _head_rows(model, rho_star_value)
-    return rows.oe_residual(profile.head_values, _held(model, profile, cutoff), cutoff - 1)
+    return rows.oe_residual(profile.head_values, _held(rows, profile, cutoff), cutoff - 1)
 
 
 def brute_force_table(

@@ -152,6 +152,17 @@ class TestModelFiles:
         assert captured.err.startswith("model error:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["rho", "solve"])
+    def test_huge_offspring_count_is_a_model_error(self, tmp_path, capsys, command):
+        # Validation rejects the count before root finding would allocate one
+        # coefficient per count (8 GB here), so this runs in process.
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps(_cbp_with(b={"0": 1, "1000000000": 1e-5})))
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("model error: offspring count must lie in 0..10000000")
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "command, doc",
         [
@@ -471,6 +482,27 @@ def test_command_does_not_import_numpy(tmp_path, argv, doc, code):
         "print(code, 'numpy' in sys.modules)\n"
     )
     assert run_fresh(script).splitlines()[-1] == f"{code} False"
+
+
+@pytest.mark.parametrize(
+    ("argv", "doc", "absent"),
+    [
+        pytest.param(["simulate", "--n", "100"], TWO_ACTION, ["solver"], id="simulate"),
+        pytest.param(["general"], GENERAL, ["solver", "gen_fn"], id="general"),
+    ],
+)
+def test_command_loads_only_its_layers(tmp_path, argv, doc, absent):
+    # The policy contract lives in model and the policy-iteration loop in
+    # embedded, so neither command needs the branching solver.
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    script = (
+        "import sys\n"
+        "from cbpopt.cli import main\n"
+        f"code = main({[argv[0], str(path), *argv[1:]]!r})\n"
+        f"print(code, [name for name in {absent!r} if f'cbpopt.{{name}}' in sys.modules])\n"
+    )
+    assert run_fresh(script).splitlines()[-1] == "0 []"
 
 
 GOLDEN = Path(__file__).parent / "golden"

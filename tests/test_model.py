@@ -7,17 +7,25 @@ import pytest
 from hypothesis import given, settings
 
 from cbpopt import (
+    GEOMETRIC,
     EmptyActionSet,
     EntryForKEqualsOne,
+    ExtinctionProfile,
+    InadmissibleAction,
     MZero,
     NegativeRate,
     NonConservativeRow,
     RateOverflow,
     TargetNotAbsorbing,
     TrivialMechanism,
+    Policy,
+    SimCaps,
     UnknownActionId,
     ValidationError,
     ZeroExitRate,
+    default_policy,
+    estimate_ep,
+    simulate_trajectory,
     validate_cbp_model,
     validate_general_model,
     validate_mechanism,
@@ -43,6 +51,12 @@ class TestMechanism:
         with pytest.raises(NegativeRate) as err:
             validate_mechanism({0: 1.0, 2: -0.5})
         assert err.value.k == 2
+
+    def test_offspring_count_bound(self):
+        # Root finding allocates one coefficient per count up to the largest.
+        assert validate_mechanism({0: 1.0, 10**7: 1e-5}).max_k == 10**7
+        with pytest.raises(ValidationError, match=r"must lie in 0\.\.10000000, got 10000001"):
+            validate_mechanism({0: 1.0, 10**7 + 1: 1e-5})
 
     def test_k_equals_one_rejected(self):
         with pytest.raises(EntryForKEqualsOne):
@@ -233,3 +247,50 @@ class TestGeneralModel:
     def test_interior_needs_actions(self):
         with pytest.raises(EmptyActionSet):
             validate_general_model([0, 1, 2], [0], None, {(1, "a"): {0: 1.0}})
+
+
+TWO_ACTION_MECHS = {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 3.0, 2: 1.0}}
+PLAY_A2 = Policy(("a2",), "a1")
+
+
+def _two_action():
+    return validate_cbp_model(1, {1: ["a1", "a2"]}, ["a1"], TWO_ACTION_MECHS)
+
+
+# Every place that takes a population state, and the error it raises for one
+# that is not an integer.
+STATE_SITES = {
+    "default_policy": (
+        lambda s: default_policy(_two_action(), "a1", {s: "a2"}).head,
+        InadmissibleAction,
+    ),
+    "admissible_key": (
+        lambda s: validate_cbp_model(1, {s: ["a1"]}, ["a1"], TWO_ACTION_MECHS).admissible,
+        ValidationError,
+    ),
+    "action_at": (lambda s: PLAY_A2.action_at(s), TypeError),
+    "actions_at": (lambda s: _two_action().actions_at(s), TypeError),
+    "ep": (lambda s: ExtinctionProfile((0.25,), GEOMETRIC, rho_star=0.5).ep(s), TypeError),
+    "estimate_ep": (
+        lambda s: estimate_ep(_two_action(), PLAY_A2, s, 50, SimCaps(1000, 50), 1),
+        TypeError,
+    ),
+    "simulate_trajectory": (
+        lambda s: simulate_trajectory(_two_action(), PLAY_A2, s, SimCaps(1000, 50), 1),
+        TypeError,
+    ),
+}
+
+
+@pytest.mark.parametrize("state", [True, 1.0, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("site", STATE_SITES)
+def test_state_that_is_not_an_integer_is_rejected(site, state):
+    call, error = STATE_SITES[site]
+    with pytest.raises(error, match="is not an integer"):
+        call(state)
+
+
+@pytest.mark.parametrize("site", STATE_SITES)
+def test_numpy_integer_state_is_accepted(site):
+    call, _ = STATE_SITES[site]
+    assert call(np.int64(1)) == call(1)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +57,25 @@ def test_submodule_is_an_attribute():
 def test_unknown_name_is_an_attribute_error(name):
     with pytest.raises(AttributeError, match=name):
         getattr(cbpopt, name)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # Each module's underscore names are its own; what another module needs
+    # is public where it is defined.
+    package = Path(cbpopt.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("cbpopt"):
+                continue
+            found += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def test_policy_contract_is_one_object_everywhere():
+    from cbpopt import model, solver
+
+    for name in ("Policy", "default_policy", "validate_policy"):
+        assert getattr(cbpopt, name) is getattr(solver, name) is getattr(model, name), name
