@@ -59,7 +59,7 @@ def _rate(value) -> float | None:
         return math.inf if value > 0 else -math.inf
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """Whether ``operator.index`` takes ``value`` and it is not a bool."""
     kind = type(value)
     return kind is int or kind is not bool and hasattr(kind, "__index__")
@@ -67,7 +67,7 @@ def _is_integer(value) -> bool:
 
 def population_state(i) -> int:
     """``i`` as a population state: an integer, not ``True`` or ``1.0``, from 1 on."""
-    if not _is_integer(i):
+    if not is_integer(i):
         raise TypeError(f"population state {i!r} is not an integer")
     if i < 1:
         raise ValueError("population states start at 1")
@@ -200,7 +200,7 @@ def validate_cbp_model(
         return out
 
     for i in admissible:
-        if not _is_integer(i) or not 1 <= i <= m:
+        if not is_integer(i) or not 1 <= i <= m:
             raise ValidationError(f"admissible map key {i!r} is not an integer in 1..{m}")
     # Each distinct list or tuple of strings is cleaned once.  Every other
     # value goes through clean at its own state, so the first error and its
@@ -253,7 +253,7 @@ def default_policy(model: CbpModel, tail: str, overrides: Mapping | None = None)
     """
     head = [choices[0] for choices in model.admissible]
     for i, a in (overrides or {}).items():
-        if not _is_integer(i) or not 1 <= i <= model.m:
+        if not is_integer(i) or not 1 <= i <= model.m:
             raise InadmissibleAction(
                 f"policy state {i!r} is not an integer in 1..{model.m}", state=i
             )

@@ -14,16 +14,26 @@ depend on how many trajectories run, in what order or in what batches, and
 under looser caps a trajectory extends the one under tighter caps instead of
 resampling it.
 
-The trajectories of an estimate run in cohorts of at most ``_COHORT``, and
-all live trajectories of a cohort advance together.  In each step every
-trajectory in the head takes one jump from its state's inverse-CDF table,
-and every trajectory in the tail takes a block of jumps at once, ending at
-its first exit from (m, max_pop] or at its jump budget.  Each trajectory's
-preferred width doubles with every block it stays in the tail for, and a
-step's block width is the mean over the tail rows, so short excursions
-waste few draws and long ones take few steps.  One step holds at most
-``_BLOCK_ENTRIES`` draws, so memory does not grow with n.  None of these
-sizes changes a result.
+The trajectories of an estimate run in cohorts of at most ``_COHORT``, one
+row of the cohort's arrays each, and all live trajectories of a cohort
+advance together.  A step runs in three parts:
+
+- Status: one test marks the live rows, those with a state in
+  [1, max_pop] and jumps to spare.  A row that has ended stays frozen in
+  the arrays, and the step passes over it, until at least half the rows
+  have ended; then the ended rows are recorded, each result read from the
+  final state and jump count, and dropped.  Ending rows in batches saves
+  compacting the arrays on every step, and changes no result.
+- Head: every live trajectory in the head takes one jump from its state's
+  inverse-CDF table.
+- Tail: every trajectory now in the tail takes a block of jumps at once,
+  ending at its first exit from (m, max_pop] or at its jump budget.  Each
+  trajectory's preferred width doubles with every block it stays in the
+  tail for, and a step's block width is the mean over the tail rows, so
+  short excursions waste few draws and long ones take few steps.  One step
+  holds at most ``_BLOCK_ENTRIES`` draws, so memory does not grow with n.
+
+None of the cohort or block sizes changes a result either.
 
 numpy is imported when the engine first runs, not when the module loads, so
 ``SimCaps``, ``wilson_interval`` and the input checks never load it.  Of
@@ -32,12 +42,13 @@ this package it imports ``model`` alone, so a simulation loads no solver.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .model import CbpModel, Policy, population_state, validate_policy
+from .model import CbpModel, Policy, is_integer, population_state, validate_policy
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,7 +57,6 @@ EXTINCT = "extinct"
 CENSORED_POPULATION = "censored_population"
 CENSORED_JUMPS = "censored_jumps"
 _RESULTS = (EXTINCT, CENSORED_POPULATION, CENSORED_JUMPS)
-_LIVE = -1
 
 _COHORT = 1 << 14
 _BLOCK_ENTRIES = 1 << 16
@@ -68,10 +78,20 @@ _MIX_STEPS = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, None))
 
 @dataclass(frozen=True)
 class SimCaps:
-    """Trajectory caps: at most ``max_jumps`` jumps, population at most ``max_pop``."""
+    """Trajectory caps: at most ``max_jumps`` jumps, population at most ``max_pop``.
+
+    Both are nonnegative integers, stored as Python ints.
+    """
 
     max_jumps: int
     max_pop: int
+
+    def __post_init__(self):
+        for name in ("max_jumps", "max_pop"):
+            value = _integer(getattr(self, name), name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -93,16 +113,26 @@ class EpEstimate:
     censored: int
 
 
+@functools.cache
+def _mix_steps() -> tuple:
+    """``_MIX_STEPS`` as uint64 scalars, built on first use."""
+    import numpy as np
+
+    return tuple(
+        (np.uint64(shift), None if mul is None else np.uint64(mul)) for shift, mul in _MIX_STEPS
+    )
+
+
 def _splitmix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """SplitMix64's output function, in place on a uint64 array (a bijection
     of 64-bit words); ``scratch`` is a uint64 array of the same shape."""
     import numpy as np
 
-    for shift, mul in _MIX_STEPS:
-        np.right_shift(z, np.uint64(shift), out=scratch)
+    for shift, mul in _mix_steps():
+        np.right_shift(z, shift, out=scratch)
         np.bitwise_xor(z, scratch, out=z)
         if mul is not None:
-            np.multiply(z, np.uint64(mul), out=z)
+            np.multiply(z, mul, out=z)
     return z
 
 
@@ -120,8 +150,16 @@ def _keys(master_seed: int, first: int, count: int) -> np.ndarray:
     return _splitmix64(keys, np.empty_like(keys))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a ``TypeError`` naming ``what`` for a
+    non-integer, ``True`` and ``False`` included."""
+    if not is_integer(value):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _checked_index(value, what: str) -> int:
-    value = operator.index(value)
+    value = _integer(value, what)
     if not 0 <= value <= _MASK64:
         raise ValueError(f"{what} must lie in [0, 2**64), got {value}")
     return value
@@ -171,21 +209,26 @@ def _advance(
     m = len(bounds) - 1
     # A tail jump is the first increment plus, for each bound below its draw,
     # the rise to the next one: the same increment as the table lookup.
+    first_step = int(steps[m, 0])
     tail_rises = [(b, r) for b, r in zip(bounds[m], np.diff(steps[m])) if b < _MASK64]
     max_pop = min(caps.max_pop, _CAP_LIMIT)
     max_jumps = min(caps.max_jumps, _CAP_LIMIT)
-    span = max_pop - m - 1  # a tail state s is inside (m, max_pop] iff 0 <= s - m - 1 <= span
+    # Read as unsigned, state - 1 < max_pop iff 1 <= state <= max_pop, and
+    # state - (m + 1) <= span iff state lies in the tail (m, max_pop].
+    pop = np.uint64(max_pop)
+    span = np.uint64(max_pop - m - 1) if max_pop > m else None
 
     result = np.empty(count, dtype=np.int8)
     jumps_at_end = np.empty(count, dtype=np.int64)
     peak_at_end = np.empty(count, dtype=np.int64)
 
     # Block buffers, reused by every step; a step of L rows and width w uses
-    # their first L·w entries, as a (w, L) array with one column per row.
+    # their first L·w entries, as a (w, L) array with one column per row
+    # (of below, one more row).
     size = min(max(count, _BLOCK_ENTRIES), count * _MAX_BLOCK)
     draws = np.empty(size, dtype=np.uint64)
     scratch = np.empty(size, dtype=np.uint64)
-    below = np.empty(size, dtype=bool)
+    below = np.empty(size + count, dtype=bool)
     path = np.empty(size, dtype=np.int64)
     lags = np.arange(_MAX_BLOCK)
     counters = (lags + 1).astype(np.uint64) * gamma
@@ -197,79 +240,89 @@ def _advance(
     peak = state.copy()
     width = np.full(count, _FIRST_BLOCK, dtype=np.int64)
     while True:
-        # Result codes index _RESULTS, checked in its order.
-        code = np.where(
-            state == 0,
-            0,
-            np.where(state > max_pop, 1, np.where(jumps >= max_jumps, 2, _LIVE)),
-        )
-        done = code != _LIVE
-        if done.any():
-            where = ids[done]
-            result[where] = code[done]
-            jumps_at_end[where] = jumps[done]
-            peak_at_end[where] = peak[done]
-            live = ~done
+        live = ((state - 1).view(np.uint64) < pop) & (jumps < max_jumps)
+        alive = int(np.count_nonzero(live))
+        if 2 * alive <= len(ids):
+            # At least half the rows have ended (they stay frozen until
+            # then): record them and drop them.  Result codes index
+            # _RESULTS, checked in its order.
+            ended = ~live
+            last = state[ended]
+            where = ids[ended]
+            result[where] = np.where(last == 0, 0, np.where(last > max_pop, 1, 2))
+            jumps_at_end[where] = jumps[ended]
+            peak_at_end[where] = peak[ended]
+            if not alive:
+                return result, jumps_at_end, peak_at_end
             ids, keys, state, jumps, peak, width = (
                 a[live] for a in (ids, keys, state, jumps, peak, width)
             )
-            if not ids.size:
-                return result, jumps_at_end, peak_at_end
+            live = np.ones(alive, dtype=bool)
 
-        head = np.flatnonzero(state <= m)
+        head = (live & (state <= m)).nonzero()[0]
         if head.size:
             s = state[head]
-            z = keys[head] + (jumps[head].astype(np.uint64) + np.uint64(1)) * gamma
+            row = s - 1
+            after = jumps[head] + 1
+            z = keys[head] + after.view(np.uint64) * gamma
             _splitmix64(z, np.empty_like(z))
-            picked = (z[:, None] > bounds[s - 1]).sum(axis=1)
-            s += steps[s - 1, picked]
+            picked = (z[:, None] > bounds[row]).sum(axis=1)
+            s += steps[row, picked]
             state[head] = s
-            jumps[head] += 1
+            jumps[head] = after
             peak[head] = np.maximum(peak[head], s)
             width[head] = _FIRST_BLOCK
 
-        tail = np.flatnonzero((state > m) & (state <= max_pop) & (jumps < max_jumps))
+        if span is None:
+            continue
+        # Ended rows fail this test too: their state is 0 or above max_pop,
+        # or they have no jumps to spare.
+        in_tail = ((state - (m + 1)).view(np.uint64) <= span) & (jumps < max_jumps)
+        tail = in_tail.nonzero()[0]
         if not tail.size:
             continue
         n_rows = tail.size
-        w = int(min(width[tail].mean(), _MAX_BLOCK, max(1, _BLOCK_ENTRIES // n_rows)))
+        widths = width[tail]
+        w = min(int(widths.sum()) // n_rows, _MAX_BLOCK, max(1, _BLOCK_ENTRIES // n_rows))
         entries = n_rows * w
         z = draws[:entries].reshape(w, n_rows)
         tail_jumps = jumps[tail]
-        np.add(counters[:w, None], keys[tail] + tail_jumps.astype(np.uint64) * gamma, out=z)
+        np.add(counters[:w, None], keys[tail] + tail_jumps.view(np.uint64) * gamma, out=z)
         spare = scratch[:entries].reshape(w, n_rows)
         _splitmix64(z, spare)
-        hit = below[:entries].reshape(w, n_rows)
+        hit = below[: entries + n_rows].reshape(w + 1, n_rows)
+        above = hit[:w]
         walk = path[:entries].reshape(w, n_rows)
-        walk.fill(steps[m, 0])
+        walk.fill(first_step)
         rise = spare.view(np.int64)
         for bound, up in tail_rises:
-            np.greater(z, bound, out=hit)
-            np.multiply(hit, up, out=rise)
+            np.greater(z, bound, out=above)
+            np.multiply(above, up, out=rise)
             walk += rise
         # Walk relative to m + 1: a step is inside (m, max_pop] iff its
         # value, read as unsigned, is at most span.
         walk[0] += state[tail] - (m + 1)
         np.cumsum(walk, axis=0, out=walk)
-        high = walk.view(np.uint64).max(axis=0)
+        unsigned = walk.view(np.uint64)
+        high = unsigned.max(axis=0)
         taken = np.minimum(max_jumps - tail_jumps, w)
         if (high > span).any() or (taken < w).any():
             # Some rows stop inside the block: at their first step out of
-            # (m, max_pop] or at the last step of their jump budget.
-            np.greater(walk.view(np.uint64), span, out=hit)
-            first_out = hit.argmax(axis=0)
-            exited = hit[first_out, columns[:n_rows]]
-            taken[exited] = np.minimum(taken[exited], first_out[exited] + 1)
+            # (m, max_pop] or at the last step of their jump budget.  The
+            # last row of hit is all True, so a row that stays inside finds
+            # its first exit past the block.
+            np.greater(unsigned, span, out=above)
+            hit[w] = True
+            np.minimum(taken, hit.argmax(axis=0) + 1, out=taken)
             # The peak over the steps taken: later steps count as 0, the
             # block's start, which the peak already covers.
-            np.less(lags[:w, None], taken, out=hit)
-            np.multiply(walk, hit, out=walk)
+            np.less(lags[:w, None], taken, out=above)
+            np.multiply(walk, above, out=walk)
             high = walk.max(axis=0)
         state[tail] = walk[taken - 1, columns[:n_rows]] + (m + 1)
-        jumps[tail] += taken
-        peak[tail] = np.maximum(peak[tail], high.astype(np.int64) + (m + 1))
-        grown = np.minimum(width[tail] * _BLOCK_GROWTH, _MAX_BLOCK)
-        width[tail] = np.where(taken == w, grown, width[tail])
+        jumps[tail] = tail_jumps + taken
+        peak[tail] = np.maximum(peak[tail], high.view(np.int64) + (m + 1))
+        width[tail] = np.where(taken == w, np.minimum(widths * _BLOCK_GROWTH, _MAX_BLOCK), widths)
 
 
 def _outcomes(
@@ -310,9 +363,9 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
 
     The degenerate endpoints are exact: zero successes give a lower limit of
     0 and all successes an upper limit of 1.  Both counts must be integers,
-    with n at least 1 and successes in [0, n].
+    not bools, with n at least 1 and successes in [0, n].
     """
-    successes, n = operator.index(successes), operator.index(n)
+    successes, n = _integer(successes, "successes"), _integer(n, "the trial count n")
     if n < 1:
         raise ValueError(f"the trial count n must be at least 1, got {n}")
     if not 0 <= successes <= n:
@@ -339,6 +392,7 @@ def estimate_ep(
     The count is exactly that of ``simulate_trajectory(..., master_seed, t)``
     over t < n.
     """
+    n = _integer(n, "the trajectory count n")
     if n < 1:
         raise ValueError("need at least one trajectory")
     extinct = sum(

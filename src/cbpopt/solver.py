@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import gen_fn
-from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, tail_weight
-from .embedded import policy_iteration as _policy_iteration
+from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, policy_iteration, tail_weight
 from .errors import NumericalError, SingularSystem, TooManyPolicies
 from .model import CbpModel, Policy, default_policy, population_state, validate_policy
 
@@ -268,7 +267,7 @@ def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[l
         return (chosen, profile), profile.head_values[:cutoff], held
 
     records = []
-    sweeps = _policy_iteration(rows, rows.rows_playing(f.head), evaluate)
+    sweeps = policy_iteration(rows, rows.rows_playing(f.head), evaluate)
     for (chosen, profile), _, moved, best in sweeps:
         policy = Policy(rows.played(chosen), f.tail)
         records.append(IterationRecord(policy, profile, tuple(map((1).__add__, moved))))

@@ -63,6 +63,35 @@ def _three_atom_model():
     return validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 1.5, 3: 0.5}})
 
 
+def _near_critical_model():
+    """m = 4, two head actions, and the tail {0: 1, 2: 1 + eps} of the
+    near-critical benchmark models."""
+    mechs = {
+        "h1": {0: 1.0, 2: 0.45, 3: 0.3},
+        "h2": {0: 0.45, 2: 1.0, 3: 0.2},
+        "t": {0: 1.0, 2: 1.001},
+    }
+    return validate_cbp_model(4, {i: list(mechs) for i in range(1, 5)}, ["t"], mechs)
+
+
+# The near-critical model's head actions, mixed across its states.
+NEAR_POLICY = Policy(("h1", "h2", "h2", "h1"), "t")
+# Block and cohort sizes at both extremes; none of them may change a result.
+BLOCK_AND_COHORT_SIZES = pytest.mark.parametrize(
+    "constants",
+    [
+        {"_FIRST_BLOCK": 1, "_MAX_BLOCK": 1, "_BLOCK_ENTRIES": 1, "_COHORT": 1},
+        {
+            "_FIRST_BLOCK": 4096,
+            "_MAX_BLOCK": 1 << 16,
+            "_BLOCK_ENTRIES": 1 << 20,
+            "_COHORT": 1 << 20,
+        },
+    ],
+    ids=["smallest", "large"],
+)
+
+
 def _all_outcomes(model, f, i0, n, caps, master_seed):
     parts = list(sim._outcomes(model, f, i0, caps, master_seed, 0, n))
     return tuple(np.concatenate([part[k] for part in parts]) for k in range(3))
@@ -121,6 +150,38 @@ class TestSimulateTrajectory:
         with pytest.raises(ValueError, match="trajectory index"):
             simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 1, CAPS, 0, t)
 
+    @pytest.mark.parametrize("t", [True, 1.0], ids=["bool", "float"])
+    def test_non_integer_trajectory_index_is_a_type_error(self, two_action_model, t):
+        with pytest.raises(TypeError, match="trajectory index"):
+            simulate_trajectory(two_action_model, Policy(("a1",), "a1"), 5, CAPS, 0, t)
+
+
+class TestSimCaps:
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        caps = SimCaps(np.int64(10), np.uint64(5))
+        assert caps == SimCaps(10, 5)
+        assert type(caps.max_jumps) is int and type(caps.max_pop) is int
+
+    @pytest.mark.parametrize(
+        "max_jumps, max_pop, name",
+        [
+            (10.5, 50, "max_jumps"),
+            (True, 50, "max_jumps"),
+            (10, 50.0, "max_pop"),
+            (10, "50", "max_pop"),
+        ],
+    )
+    def test_non_integer_caps_are_type_errors(self, max_jumps, max_pop, name):
+        with pytest.raises(TypeError, match=name):
+            SimCaps(max_jumps, max_pop)
+
+    @pytest.mark.parametrize(
+        "max_jumps, max_pop, name", [(-1, 50, "max_jumps"), (10, -1, "max_pop")]
+    )
+    def test_negative_caps_are_value_errors(self, max_jumps, max_pop, name):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative, got -1"):
+            SimCaps(max_jumps, max_pop)
+
 
 class TestEngine:
     @pytest.mark.parametrize(
@@ -150,29 +211,47 @@ class TestEngine:
             )
 
     @pytest.mark.parametrize(
-        "constants",
+        "i0, caps",
         [
-            {"_FIRST_BLOCK": 1, "_MAX_BLOCK": 1, "_BLOCK_ENTRIES": 1, "_COHORT": 1},
-            {
-                "_FIRST_BLOCK": 4096,
-                "_MAX_BLOCK": 1 << 16,
-                "_BLOCK_ENTRIES": 1 << 20,
-                "_COHORT": 1 << 20,
-            },
+            (1, SimCaps(max_jumps=10**6, max_pop=30)),
+            (1, SimCaps(max_jumps=10**6, max_pop=2)),
+            (3, SimCaps(max_jumps=40, max_pop=30)),
         ],
-        ids=["smallest", "large"],
+        ids=["pop_30", "pop_below_m", "budget_in_block"],
     )
+    def test_near_critical_matches_scalar_reference(self, i0, caps):
+        # Rows end at very different steps here: the engine's batched ends
+        # and its head and tail sets must not change any outcome.
+        model = _near_critical_model()
+        result, jumps, peak = _all_outcomes(model, NEAR_POLICY, i0, 300, caps, 7)
+        for t in range(300):
+            got = SimOutcome(sim._RESULTS[result[t]], int(jumps[t]), int(peak[t]))
+            assert got == _reference(model, NEAR_POLICY, i0, caps, 7, t)
+
+    @staticmethod
+    def _assert_sizes_change_nothing(monkeypatch, constants, model, f, n, caps, master_seed):
+        want = _all_outcomes(model, f, 1, n, caps, master_seed)
+        for name, value in constants.items():
+            monkeypatch.setattr(sim, name, value)
+        got = _all_outcomes(model, f, 1, n, caps, master_seed)
+        for a, b in zip(want, got):
+            np.testing.assert_array_equal(a, b)
+
+    @BLOCK_AND_COHORT_SIZES
     def test_outcomes_do_not_depend_on_block_or_cohort_sizes(
         self, two_action_model, monkeypatch, constants
     ):
-        f = Policy(("a1",), "a1")
         caps = SimCaps(max_jumps=1_000, max_pop=60)
-        want = _all_outcomes(two_action_model, f, 1, 150, caps, 17)
-        for name, value in constants.items():
-            monkeypatch.setattr(sim, name, value)
-        got = _all_outcomes(two_action_model, f, 1, 150, caps, 17)
-        for a, b in zip(want, got):
-            np.testing.assert_array_equal(a, b)
+        model, f = two_action_model, Policy(("a1",), "a1")
+        self._assert_sizes_change_nothing(monkeypatch, constants, model, f, 150, caps, 17)
+
+    @BLOCK_AND_COHORT_SIZES
+    def test_near_critical_outcomes_do_not_depend_on_block_or_cohort_sizes(
+        self, monkeypatch, constants
+    ):
+        caps = SimCaps(max_jumps=1_000, max_pop=30)
+        model = _near_critical_model()
+        self._assert_sizes_change_nothing(monkeypatch, constants, model, NEAR_POLICY, 300, caps, 5)
 
     @pytest.mark.parametrize("i0", [1, 5], ids=["head_start", "tail_start"])
     def test_first_jump_matches_offspring_pmf(self, i0):
@@ -270,6 +349,24 @@ class TestEstimateEp:
         with pytest.raises(TypeError):
             estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, 10, CAPS, master_seed=5.0)
 
+    def test_bool_seed_is_a_type_error(self, two_action_model):
+        f = Policy(("a1",), "a1")
+        with pytest.raises(TypeError, match="master seed must be an integer, got True"):
+            estimate_ep(two_action_model, f, 1, 10, CAPS, master_seed=True)
+        with pytest.raises(TypeError, match="master seed"):
+            simulate_trajectory(two_action_model, f, 1, CAPS, True)
+
+    @pytest.mark.parametrize("n", [True, 3.0], ids=["bool", "float"])
+    def test_non_integer_trajectory_count_is_a_type_error(self, two_action_model, n):
+        with pytest.raises(TypeError, match="trajectory count n"):
+            estimate_ep(two_action_model, Policy(("a1",), "a1"), 1, n, CAPS, master_seed=0)
+
+    def test_numpy_integer_count_is_a_python_int(self, two_action_model):
+        f = Policy(("a1",), "a1")
+        estimate = estimate_ep(two_action_model, f, 1, np.int64(3), CAPS, master_seed=0)
+        assert estimate == estimate_ep(two_action_model, f, 1, 3, CAPS, master_seed=0)
+        assert type(estimate.n) is int and type(estimate.p_hat) is float
+
     def test_memory_does_not_grow_with_n(self, two_action_model):
         f = Policy(("a1",), "a1")
         caps = SimCaps(max_jumps=10**6, max_pop=30)
@@ -334,6 +431,13 @@ class TestWilson:
     @pytest.mark.parametrize("successes, n", [(5, 10.5), (5.0, 10), (5, "10")])
     def test_non_integer_counts_are_type_errors(self, successes, n):
         with pytest.raises(TypeError):
+            wilson_interval(successes, n)
+
+    @pytest.mark.parametrize(
+        "successes, n, name", [(True, 2, "successes"), (1, True, "the trial count n")]
+    )
+    def test_bool_counts_are_type_errors(self, successes, n, name):
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got True"):
             wilson_interval(successes, n)
 
     def test_integer_like_counts_are_their_values(self):

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -97,66 +96,6 @@ class TestNoDeathDecision:
         for s, r in enumerate(rows.rows_playing(head)):
             assert rows.state_ptr[s] <= r < ends[s]
             assert rows.actions[r] == head[s]
-
-
-class _AlternatingRows:
-    """Rows whose improvement swaps between two policies on every sweep, as a
-    rounding-level tie can."""
-
-    @staticmethod
-    def improve(chosen, values, held):
-        return ([1] if chosen == [0] else [0]), [0], [0.25]
-
-
-def test_policy_iteration_stops_before_a_repeated_policy():
-    evaluated = []
-
-    def evaluate(chosen):
-        evaluated.append(chosen)
-        return len(evaluated), [0.5], [0.5, 1.0]
-
-    sweeps = list(solver._policy_iteration(_AlternatingRows(), [0], evaluate))
-    assert evaluated == [[0], [1]]
-    # The second sweep would bring [0] back, so it stays at [1] and reports
-    # no change.
-    assert sweeps == [(1, [1], [0], None), (2, [1], [], [0.25])]
-
-
-class _Vector(list):
-    """A list that takes weak references."""
-
-
-class _ClimbingRows:
-    """Rows that move state 0 one row up per sweep until row 2, keeping weak
-    references to the least values they return."""
-
-    def __init__(self):
-        self.least = []
-
-    def improve(self, chosen, values, held):
-        best = _Vector([0.25])
-        self.least.append(weakref.ref(best))
-        if chosen[0] < 2:
-            return [chosen[0] + 1], [0], best
-        return chosen, [], best
-
-
-def test_policy_iteration_frees_each_sweep_before_the_next_evaluation():
-    rows, vectors = _ClimbingRows(), []
-    alive = []
-
-    def evaluate(chosen):
-        alive.extend(ref() is not None for ref in rows.least + vectors)
-        held = _Vector([0.5, 1.0])
-        vectors.append(weakref.ref(held))
-        return chosen[0], [0.5], held
-
-    *_, (record, improved, changed, best) = solver._policy_iteration(rows, [0], evaluate)
-    # The second evaluation looks at the first sweep's least values and held
-    # vector, the third at both sweeps': every one was already freed.
-    assert alive == [False] * 6
-    assert (record, improved, changed) == (2, [2], [])
-    assert best is rows.least[-1]()
 
 
 def _reference_system(model, head, rho_value):
