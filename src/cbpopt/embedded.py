@@ -39,8 +39,10 @@ class JumpRows:
     in stored order.  A policy over the leading states is the list
     ``chosen`` of the row each one plays.
 
-    Evaluation, improvement and the optimality-equation certificate are
-    written here once.  A backend supplies only its data layout:
+    Evaluation and improvement are written here once, and the
+    optimality-equation certificate is :func:`oe_defect` of the least values
+    that ``least(candidates(held))`` gives.  A backend supplies only its data
+    layout:
 
     - ``candidates(x)``: every row's value at value vector x, in the form
       ``least`` reads;
@@ -102,11 +104,6 @@ class JumpRows:
             improved[s] = first[s]
         return improved, changed, best
 
-    def oe_residual(self, values, held: list[float], zero_from: int) -> float:
-        """:func:`oe_defect` of ``values`` against the least one-jump values
-        at ``held``."""
-        return oe_defect(values, self.least(self.candidates(held))[0], zero_from)
-
 
 def policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
     """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
@@ -156,9 +153,9 @@ class ListRows(JumpRows):
         self.entries = entries
         self._bounds = list(zip(state_ptr, [*state_ptr[1:], len(actions)]))
 
-    def candidates(self, x, rows=None) -> list[float]:
+    def candidates(self, x) -> list[float]:
         out = []
-        for row in self.entries if rows is None else map(self.entries.__getitem__, rows):
+        for row in self.entries:
             total = 0.0
             for col, weight in row:
                 total += weight * x[col]
@@ -177,7 +174,7 @@ class ListRows(JumpRows):
         return best, first
 
     def defect(self, x, held, chosen) -> float:
-        again = self.candidates(held, chosen)
+        again = list(map(self.candidates(held).__getitem__, chosen))
         return max(map(abs, map(operator.sub, x, again)), default=0.0)
 
     def _triplets(self, chosen):

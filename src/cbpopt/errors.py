@@ -11,13 +11,18 @@ class CbpError(Exception):
 
 
 class ValidationError(CbpError):
-    """A model description violates an invariant."""
+    """A model description violates an invariant; ``state``, ``action`` and
+    the offspring count ``k`` locate it where the check knows them."""
+
+    def __init__(self, message, *, state=None, action=None, k=None):
+        super().__init__(message)
+        self.state = state
+        self.action = action
+        self.k = k
 
 
 class NegativeRate(ValidationError):
-    def __init__(self, message, k=None):
-        super().__init__(message)
-        self.k = k
+    pass
 
 
 class EntryForKEqualsOne(ValidationError):
@@ -33,9 +38,7 @@ class UnknownActionId(ValidationError):
 
 
 class EmptyActionSet(ValidationError):
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    pass
 
 
 class MZero(ValidationError):
@@ -43,17 +46,11 @@ class MZero(ValidationError):
 
 
 class NonConservativeRow(ValidationError):
-    def __init__(self, message, state=None, action=None):
-        super().__init__(message)
-        self.state = state
-        self.action = action
+    pass
 
 
 class ZeroExitRate(ValidationError):
-    def __init__(self, message, state=None, action=None):
-        super().__init__(message)
-        self.state = state
-        self.action = action
+    pass
 
 
 class TargetNotAbsorbing(ValidationError):
@@ -65,9 +62,7 @@ class RateOverflow(ValidationError):
 
 
 class InadmissibleAction(ValidationError):
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    pass
 
 
 class ModelFileError(ValidationError):

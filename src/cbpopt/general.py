@@ -16,12 +16,21 @@ module never imports numpy; nor does it load ``solver`` or ``gen_fn``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .embedded import JumpRows, ListRows, oe_defect, policy_iteration
 from .errors import NumericalError
-from .model import CbpModel, GeneralModel, Policy, State, validate_general_model, validate_policy
+from .model import (
+    CbpModel,
+    GeneralModel,
+    Policy,
+    State,
+    is_integer,
+    validate_general_model,
+    validate_policy,
+)
 
 CEMETERY = "cemetery"
 
@@ -131,6 +140,9 @@ def cbp_truncate(model: CbpModel, policy: Policy | None, level: int) -> GeneralM
     redirected into the cemetery, making the truncated hitting values lower
     bounds on the untruncated ones, nondecreasing in ``level``.
     """
+    if not is_integer(level):
+        raise TypeError(f"truncation level must be an integer, got {level!r}")
+    level = operator.index(level)
     if policy is not None:
         validate_policy(model, policy)
         used = {policy.action_at(i) for i in range(1, level + 1)}

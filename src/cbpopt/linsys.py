@@ -62,31 +62,26 @@ class UnitSystem:
 def has_invertible_structure(U) -> bool:
     """Sufficient structural test for invertibility of I - U.
 
-    True iff the diagonal and everything below the first subdiagonal vanish,
-    the first row sums to strictly less than one with the remaining rows at
-    most one, and every subdiagonal entry is strictly positive.
+    True iff U is square, finite and nonnegative, the diagonal and everything
+    below the first subdiagonal vanish, the first row sums to strictly less
+    than one with the remaining rows at most one, and every subdiagonal entry
+    is strictly positive.
     """
     import numpy as np
 
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+    # Rows contiguous, so each is summed pairwise as a 1-D sum of it would be.
+    U = np.ascontiguousarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or not np.isfinite(U).all():
         return False
-    n = U.shape[0]
-    if U.size and float(U.min()) < 0.0:
-        return False
-    for i in range(n):
-        if U[i, i] != 0.0:
-            return False
-        if any(U[i, j] != 0.0 for j in range(i - 1)):
-            return False
-    if n and float(U[0].sum()) >= 1.0:
-        return False
-    for i in range(1, n):
-        if float(U[i].sum()) > 1.0:
-            return False
-        if U[i, i - 1] <= 0.0:
-            return False
-    return True
+    sums = U.sum(axis=1)
+    return bool(
+        (U >= 0.0).all()
+        and not np.diagonal(U).any()
+        and not np.tril(U, -2).any()
+        and (sums[:1] < 1.0).all()
+        and (sums[1:] <= 1.0).all()
+        and (np.diagonal(U, -1) > 0.0).all()
+    )
 
 
 def solve_unit(system: UnitSystem):
@@ -142,13 +137,9 @@ def _list_band(n: int, row, col, weight, c) -> tuple:
     A += [[0.0] * width for _ in range(p)]
     for r, d, w in zip(row, offsets, weight):
         A[r][d + p] -= w
-    if 0 in offsets:
-        scale = max(map(abs, chain.from_iterable(A)))
-    else:  # a unit diagonal and the entries' negatives
-        scale = max(1.0, max(map(abs, weight), default=0.0))
     x = list(map(float, c))
     x += [0.0] * p
-    return A, x, p, scale
+    return A, x, p, max(map(abs, chain.from_iterable(A)))
 
 
 def _array_band(n: int, row, col, weight, c) -> tuple:

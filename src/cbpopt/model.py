@@ -118,18 +118,19 @@ def validate_mechanism(raw: Mapping[int, float]) -> BranchingMechanism:
     entries, so conservativeness holds by construction.
     """
     kept: dict[int, float] = {}
-    for k in sorted(raw, key=lambda key: (isinstance(key, bool), str(key))):
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError(f"offspring count must be an integer, got {k!r}")
+    for key in sorted(raw, key=lambda x: (isinstance(x, bool), str(x))):
+        if not is_integer(key):
+            raise ValidationError(f"offspring count must be an integer, got {key!r}")
+        k = operator.index(key)
         if k == 1:
             raise EntryForKEqualsOne(
                 "the rate for k=1 is the derived diagonal and cannot be supplied"
             )
         if not 0 <= k <= MAX_OFFSPRING:
             raise ValidationError(f"offspring count must lie in 0..{MAX_OFFSPRING}, got {k}")
-        rate = _rate(raw[k])
+        rate = _rate(raw[key])
         if rate is None:
-            raise NegativeRate(f"rate for k={k} is not a number: {raw[k]!r}", k=k)
+            raise NegativeRate(f"rate for k={k} is not a number: {raw[key]!r}", k=k)
         if not math.isfinite(rate) or rate < 0.0:
             raise NegativeRate(f"rate for k={k} must be finite and nonnegative, got {rate}", k=k)
         if rate > 0.0:
@@ -178,8 +179,9 @@ def validate_cbp_model(
     mechanisms: Mapping[str, Mapping[int, float] | BranchingMechanism],
 ) -> CbpModel:
     """Validate a controlled branching model description."""
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not is_integer(m) or m < 1:
         raise MZero(f"threshold m must be a positive integer, got {m!r}")
+    m = operator.index(m)
     mechs: dict[str, BranchingMechanism] = {}
     for aid in sorted(mechanisms, key=str):
         if not isinstance(aid, str) or not aid:

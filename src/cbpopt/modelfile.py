@@ -255,7 +255,7 @@ def parse_policy_spec(spec: str) -> dict[int, str]:
     """Parse head overrides like ``"1:a2,2:a1"`` into a state -> action map.
 
     Only the syntax is checked here: states are canonical integers, each
-    named once.  ``solver.default_policy`` checks the states and actions
+    named once.  ``model.default_policy`` checks the states and actions
     against a model.
     """
     overrides: dict[int, str] = {}

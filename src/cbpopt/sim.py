@@ -353,9 +353,8 @@ def simulate_trajectory(
     t = _checked_index(t, "trajectory index")
     ((result, jumps, peak),) = _outcomes(model, f, i0, caps, master_seed, t, 1)
     # max with i0: a start past the population cap is clamped in the engine.
-    return SimOutcome(
-        result=_RESULTS[result[0]], jumps=int(jumps[0]), peak_population=max(i0, int(peak[0]))
-    )
+    peak = max(operator.index(i0), int(peak[0]))
+    return SimOutcome(result=_RESULTS[result[0]], jumps=int(jumps[0]), peak_population=peak)
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from typing import Mapping
 from . import gen_fn
 from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, policy_iteration, tail_weight
 from .errors import NumericalError, SingularSystem, TooManyPolicies
-from .model import CbpModel, Policy, default_policy, population_state, validate_policy
+from .model import CbpModel, Policy, default_policy, is_integer, population_state, validate_policy
 
 GEOMETRIC = "geometric"
 ZERO = "zero"
@@ -334,13 +334,16 @@ def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
         # Below a cutoff the tail column is held at zero and the ratio is moot.
         rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
     rows = _head_rows(model, rho_star_value)
-    return rows.oe_residual(profile.head_values, _held(rows, profile, cutoff), cutoff - 1)
+    best = rows.least(rows.candidates(_held(rows, profile, cutoff)))[0]
+    return oe_defect(profile.head_values, best, cutoff - 1)
 
 
 def brute_force_table(
     model: CbpModel, cap: int = DEFAULT_BRUTE_CAP
 ) -> tuple[ExtinctionProfile, list[tuple[Policy, ExtinctionProfile]]]:
     """Evaluate every head policy; return the componentwise minimum and the table."""
+    if not is_integer(cap):
+        raise TypeError(f"brute-force cap must be an integer, got {cap!r}")
     count = model.head_policy_count()
     if count > cap:
         raise TooManyPolicies(f"{count} head policies exceed the cap of {cap}")

@@ -68,13 +68,15 @@ class TestJumpRowsContract:
         assert rows.improve([0, 4, 5], VALUES[:0], HELD) == ([0, 4, 5], [], LEAST)
 
     def test_oe_residual_zeroes_the_least_value_from_zero_from(self, rows):
-        assert rows.oe_residual(VALUES, HELD, 3) == 0.25
-        assert rows.oe_residual(VALUES, HELD, 1) == 0.5
-        assert type(rows.oe_residual(VALUES, HELD, 0)) is float
+        best = rows.least(rows.candidates(HELD))[0]
+        assert oe_defect(VALUES, best, 3) == 0.25
+        assert oe_defect(VALUES, best, 1) == 0.5
+        assert type(oe_defect(VALUES, best, 0)) is float
 
     def test_oe_defect_of_the_least_values_is_oe_residual(self, rows):
+        best = rows.least(rows.candidates(HELD))[0]
         for zero_from in range(5):
-            assert oe_defect(VALUES, LEAST, zero_from) == rows.oe_residual(VALUES, HELD, zero_from)
+            assert oe_defect(VALUES, LEAST, zero_from) == oe_defect(VALUES, best, zero_from)
 
     def test_defect(self, rows):
         # Rows 1, 3 and 5 value 0.25, 0.5 and 0.125 at HELD.

@@ -15,6 +15,7 @@ from cbpopt import (
     value_iterate,
 )
 from cbpopt import general
+from cbpopt.embedded import oe_defect
 from conftest import far_jumping_model, random_cbp_model
 
 
@@ -182,7 +183,7 @@ def _recomputed_oe_residual(model, solution):
     """The OE residual at the solution's values, from freshly compiled rows."""
     interior, rows, _ = general._compile(model)
     x = [solution.values[s] for s in interior]
-    return rows.oe_residual(x, [*x, 1.0], len(interior))
+    return oe_defect(x, rows.least(rows.candidates([*x, 1.0]))[0], len(interior))
 
 
 @given(_far_jumping_model())

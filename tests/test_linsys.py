@@ -1,4 +1,5 @@
 import contextlib
+import math
 import re
 import tracemalloc
 
@@ -79,6 +80,18 @@ def singular_column(exc: SingularSystem) -> int:
 band_st = st.sampled_from([0, 1, 2, None])  # None: n - 1, a dense lower part
 
 
+def _structure_reference(U: np.ndarray) -> bool:
+    """has_invertible_structure's conditions checked entry by entry."""
+    n = len(U)
+    if not all(math.isfinite(v) and v >= 0.0 for v in U.flat):
+        return False
+    if any(U[i, j] != 0.0 for i in range(n) for j in range(n) if j == i or j < i - 1):
+        return False
+    if n and float(U[0].sum()) >= 1.0:
+        return False
+    return all(float(U[i].sum()) <= 1.0 and U[i, i - 1] > 0.0 for i in range(1, n))
+
+
 class TestStructureCheck:
     def test_accepts_structured(self):
         assert has_invertible_structure(np.array([[0.0, 0.5], [0.9, 0.0]]))
@@ -101,6 +114,34 @@ class TestStructureCheck:
 
     def test_rejects_negative_entries(self):
         assert not has_invertible_structure(np.array([[0.0, -0.5], [0.9, 0.0]]))
+
+    @pytest.mark.parametrize("U", [np.zeros((2, 3)), np.zeros(2), 0.0], ids=["2x3", "1d", "0d"])
+    def test_rejects_non_square(self, U):
+        assert not has_invertible_structure(U)
+
+    def test_rejects_later_row_sum_above_one(self):
+        U = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.6], [0.0, 0.5, 0.0]])
+        assert not has_invertible_structure(U)
+        U[1, 2] = 0.5  # a row after the first may sum to exactly one
+        assert has_invertible_structure(U)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", [(1, 0), (0, 1), (0, 0)], ids=["sub", "upper", "diagonal"])
+    def test_rejects_non_finite_entries(self, value, at):
+        U = np.array([[0.0, 0.5], [0.9, 0.0]])
+        U[at] = value
+        assert not has_invertible_structure(U)
+
+    @given(st.integers(0, 8), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_entrywise_reference(self, n, seed):
+        rng = np.random.default_rng(seed)
+        U = random_structured(rng, n)
+        if n:
+            # One entry perturbed, and rows scaled to sum to about one.
+            U[rng.integers(n), rng.integers(n)] = rng.choice([0.0, 0.3, -0.1, np.nan, np.inf])
+            U[rng.integers(n)] *= rng.choice([1.0, 2.0, 1.0 + 2**-52])
+        assert has_invertible_structure(U) == _structure_reference(U)
 
 
 class TestSolveUnit:
@@ -125,6 +166,20 @@ class TestSolveUnit:
         # Permutation cycle: I - U has a zero eigenvalue.
         with pytest.raises(SingularSystem):
             solve_unit(UnitSystem(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.0, 0.0])))
+
+    @pytest.mark.parametrize(
+        "U, c, message",
+        [
+            (np.zeros((2, 3)), np.zeros(2), "U must be a square matrix"),
+            (np.zeros(2), np.zeros(2), "U must be a square matrix"),
+            (np.zeros((2, 2)), np.zeros(3), "c must be a vector matching U"),
+            (np.zeros((2, 2)), np.zeros((2, 1)), "c must be a vector matching U"),
+        ],
+        ids=["2x3", "1d", "c_too_long", "c_column"],
+    )
+    def test_rejects_mismatched_shapes(self, U, c, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            UnitSystem(U, c)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 from functools import reduce
 
 import numpy as np
@@ -23,6 +24,8 @@ from cbpopt import (
     UnknownActionId,
     ValidationError,
     ZeroExitRate,
+    brute_force_table,
+    cbp_truncate,
     default_policy,
     estimate_ep,
     simulate_trajectory,
@@ -248,6 +251,36 @@ class TestGeneralModel:
         with pytest.raises(EmptyActionSet):
             validate_general_model([0, 1, 2], [0], None, {(1, "a"): {0: 1.0}})
 
+    @pytest.mark.parametrize(
+        "states, target, cemetery, rows, message",
+        [
+            ([0, 1, 0], [0], None, {}, "duplicate states in the state list"),
+            ([0, 1], [], None, {}, "the target set must not be empty"),
+            ([0, 1], [7], None, {}, "target state 7 is not in the state list"),
+            ([0, 1], [0], "d", {}, "cemetery state 'd' is not in the state list"),
+            ([0, 1], [0], 0, {}, "the cemetery state cannot be a target state"),
+            ([0, 1], [0], None, {(9, "a"): {0: 1.0}}, "rate row references unknown state 9"),
+        ],
+        ids=[
+            "duplicate_states",
+            "empty_target",
+            "target_outside",
+            "cemetery_outside",
+            "cemetery_is_target",
+            "row_of_unknown_state",
+        ],
+    )
+    def test_inconsistent_state_sets(self, states, target, cemetery, rows, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            validate_general_model(states, target, cemetery, rows)
+
+    def test_zero_rate_row_on_an_absorbing_state_is_dropped(self):
+        model = validate_general_model(
+            [0, 1, "d"], [0], "d", {(0, "a"): {1: 0.0}, ("d", "a"): {}, (1, "a"): {0: 1.0}}
+        )
+        assert dict(model.rows) == {(1, "a"): {0: 1.0}}
+        assert model.actions_at(0) == model.actions_at("d") == ()
+
 
 TWO_ACTION_MECHS = {"a1": {0: 1.0, 2: 2.0}, "a2": {0: 3.0, 2: 1.0}}
 PLAY_A2 = Policy(("a2",), "a1")
@@ -294,3 +327,32 @@ def test_state_that_is_not_an_integer_is_rejected(site, state):
 def test_numpy_integer_state_is_accepted(site):
     call, _ = STATE_SITES[site]
     assert call(np.int64(1)) == call(1)
+
+
+# Every other integer argument: a call that returns what keeps the value, the
+# error for a value that is not an integer, and a valid value.
+INTEGER_SITES = {
+    "m": (lambda m: validate_cbp_model(m, {1: ["a1"]}, ["a1"], TWO_ACTION_MECHS), MZero, 1),
+    "offspring_count": (lambda k: validate_mechanism({0: 1.0, k: 2.0}), ValidationError, 3),
+    "truncation_level": (
+        lambda level: cbp_truncate(_two_action(), None, level).states,
+        TypeError,
+        4,
+    ),
+    "brute_force_cap": (lambda cap: brute_force_table(_two_action(), cap)[0], TypeError, 2),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=["bool", "float", "fraction"])
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_argument_that_is_not_an_integer_is_rejected(site, value):
+    call, error, _ = INTEGER_SITES[site]
+    with pytest.raises(error, match=re.escape(f"integer, got {value!r}") + "$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_numpy_integer_argument_is_stored_as_int(site):
+    call, _, valid = INTEGER_SITES[site]
+    # repr tells a numpy integer from a Python int wherever one is kept.
+    assert repr(call(np.int64(valid))) == repr(call(valid))

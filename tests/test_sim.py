@@ -121,6 +121,13 @@ class TestSimulateTrajectory:
         assert outcome.result == CENSORED_POPULATION
         assert outcome.jumps == 0
 
+    def test_numpy_start_gives_an_int_peak(self, two_action_model):
+        # The start is past the population cap, so the peak is the start.
+        caps = SimCaps(max_jumps=10, max_pop=3)
+        outcome = simulate_trajectory(two_action_model, Policy(("a1",), "a1"), np.int64(5), caps, 0)
+        assert outcome == SimOutcome(CENSORED_POPULATION, 0, 5)
+        assert type(outcome.peak_population) is int
+
     def test_start_past_int64_is_censored_at_once(self, two_action_model):
         f = Policy(("a1",), "a1")
         caps = SimCaps(max_jumps=10, max_pop=2**63)

@@ -13,6 +13,7 @@ from cbpopt import (
     InadmissibleAction,
     NumericalError,
     Policy,
+    SingularSystem,
     TooManyPolicies,
     brute_force,
     brute_force_table,
@@ -222,6 +223,18 @@ class TestEvaluatePolicy:
         with pytest.raises(InadmissibleAction):
             evaluate_policy(two_action_model, Policy(("missing",), "a1"), 0.5)
 
+    def test_singular_system_names_the_case_and_size(self):
+        # With the tail ratio forced to 2, state 1's tail weight is 0.5 * 2 = 1
+        # and its row of I - U vanishes.
+        model = validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 1.0}})
+        with pytest.raises(SingularSystem) as err:
+            evaluate_policy(model, Policy(("a",), "a"), 2.0)
+        assert str(err.value) == (
+            "policy evaluation (geometric-tail case, 1-state system):"
+            " coefficient matrix is identically zero"
+        )
+        assert type(err.value.__cause__) is SingularSystem
+
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -265,6 +278,12 @@ class TestImprovePolicy:
         profile = evaluate_policy(two_action_model, Policy(("a1",), "a1"), 0.5)
         improved = improve_policy(two_action_model, Policy(("a1",), "a1"), profile)
         assert improved.head == ("a1",)
+
+    def test_geometric_profile_needs_its_ratio(self, two_action_model):
+        profile = ExtinctionProfile((0.5,), GEOMETRIC)
+        message = "^geometric-tail improvement needs the profile's tail ratio$"
+        with pytest.raises(ValueError, match=message):
+            improve_policy(two_action_model, Policy(("a1",), "a1"), profile)
 
     def test_equal_value_is_not_an_improvement(self, two_action_model):
         # The candidate's one-jump value equals the current value exactly
