@@ -12,9 +12,9 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The public names of each submodule.
+# The public names of each submodule; ``embedded``'s operators are internal.
 _EXPORTS = {
-    "embedded": "tail_weight",
+    "embedded": "",
     "errors": """CbpError EmptyActionSet EntryForKEqualsOne InadmissibleAction
         ModelFileError MZero NegativeRate NoConvergence NonConservativeRow
         NumericalError RateOverflow SingularSystem TargetNotAbsorbing

@@ -11,9 +11,8 @@ validated and its policy spec parsed; only ``solve``, ``evaluate`` and
 ``brute`` load ``solver``.  So ``rho``, whose roots are pure Python, and every
 command that fails before it computes (unreadable or invalid files, the wrong
 model kind, a malformed policy spec, ``brute`` over its cap) never import
-numpy.  Neither does ``general``, at any size, nor do ``solve``,
-``evaluate`` and ``brute`` on a head of fewer than ``solver.ARRAY_HEAD_ROWS``
-(state, action) rows; ``simulate`` always does.
+numpy.  Neither do ``general``, ``solve``, ``evaluate`` and ``brute``, at
+any size; only ``simulate`` does.
 """
 
 from __future__ import annotations

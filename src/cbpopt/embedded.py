@@ -1,65 +1,40 @@
-"""The discounted tail weight, the compiled one-jump operator and its loop.
+"""The one-jump operators of both model kinds and the one loop over them.
 
-A branching jump from population i lands on i - 1 + k with probability
-b_k / |b1|, independent of i after the shift; the self-transition is zero by
-convention.  The tail weight folds the geometric continuation of values above
-the head threshold back into the head system, closing it at finite size.
-:class:`JumpRows` holds one compiled row per (state, action) and is the one
-operator that policy evaluation, improvement and the optimality-equation
-certificate go through; :func:`policy_iteration` is the one loop over them,
-for branching and general models alike.
-
-Those three are written once, over plain lists; a backend keeps only the
-data layout and the defect of a solved system, which numpy finds in one
-pass.  :class:`ListRows` keeps each row as a Python list, and
-:class:`ArrayRows` the entries in numpy arrays.  General models always
-compile to ``ListRows``; only a large branching head
-(``solver.ARRAY_HEAD_ROWS`` rows or more) is built as ``ArrayRows``.  Both
-backends sum each row in stored order, run the same elimination and give the
-same bits.
+Every operator holds one row per (state, action) and improves by one rule,
+:meth:`ActionRows.improve`; :func:`policy_iteration` is the one loop, for
+branching and general models alike.  :class:`JumpRows` evaluates a general
+model's policy by one banded solve, :class:`Passage` a branching head's by
+one backward pass in passage probabilities, with no linear system (the
+scalar first-passage decomposition of skip-free chains: Latouche &
+Ramaswami, *Introduction to Matrix Analytic Methods in Stochastic
+Modeling*, SIAM 1999; subtraction-free as in Grassmann, Taksar & Heyman).
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from itertools import compress, count
+from itertools import accumulate, chain, compress, count
 from typing import Sequence
 
 from .linsys import solve_banded
-from .model import BranchingMechanism
+from .model import CbpModel
 
 
-class JumpRows:
-    """One-jump operator over n states, one row per (state, action).
-
-    Rows are grouped by state, actions in sorted order; ``state_ptr[s]`` is
-    the first row of state s.  A value vector x is the list of the n state
-    values and then the target's value 1, so column n carries each row's
-    target mass.  Each row adds ``weight * x[col]`` over its entries, summed
-    in stored order.  A policy over the leading states is the list
+class ActionRows:
+    """Rows grouped by state, actions in sorted order; ``state_ptr[s]`` is
+    the first row of state s.  A policy over the leading states is the list
     ``chosen`` of the row each one plays.
 
-    Evaluation and improvement are written here once, and the
-    optimality-equation certificate is :func:`oe_defect` of the least values
-    that ``least(candidates(held))`` gives.  A backend supplies only its data
-    layout:
-
-    - ``candidates(x)``: every row's value at value vector x, in the form
-      ``least`` reads;
-    - ``least(cand)``: lists of each state's least row value and of the
-      first (smallest-id) row attaining it;
-    - ``_triplets(chosen)``: ``(row, col, weight, c)`` of the policy's
-      system over the leading ``len(chosen)`` states, state s playing row
-      ``chosen[s]``: U's entries, dropping those into later states, and the
-      target masses c;
-    - ``defect(x, held, chosen)``: sup over s of |x[s] - the value of row
-      ``chosen[s]`` at ``held``|, 0.0 for no states; the sup-norm defect of
-      a solved policy system.
+    An operator supplies ``candidates(held)``, every row's value at the
+    vector ``held``; each state's least value there and the first
+    (smallest-id) row attaining it decide improvement.
     """
 
     def __init__(self, actions: tuple[str, ...], state_ptr: list[int]):
         self.actions = actions
         self.state_ptr = state_ptr
+        self._bounds = list(zip(state_ptr, [*state_ptr[1:], len(actions)]))
 
     @property
     def n(self) -> int:
@@ -74,28 +49,24 @@ class JumpRows:
         """The action of each row in ``chosen``."""
         return tuple(map(self.actions.__getitem__, chosen))
 
-    def value_vector(self, values) -> list[float]:
-        """``values`` at the leading states, then zeros, then the target's 1."""
-        return [*values, *[0.0] * (self.n - len(values)), 1.0]
+    def least(self, cand) -> tuple[list[float], list[int]]:
+        """Lists of each state's least row value in ``cand`` and of the
+        first row attaining it."""
+        best, first = [], []
+        for lo, hi in self._bounds:
+            low, at = cand[lo], lo
+            for r in range(lo + 1, hi):
+                if cand[r] < low:  # strictly, so a tie keeps the smaller id
+                    low, at = cand[r], r
+            best.append(low)
+            first.append(at)
+        return best, first
 
-    def evaluate(self, chosen: list[int], residual: bool = True) -> tuple[list, float | None]:
-        """Values of the policy playing ``chosen`` at the leading states,
-        later states held at zero, clipped to [0, 1]; and, if asked, the
-        sup-norm defect of its linear system before clipping."""
-        x = solve_banded(len(chosen), *self._triplets(chosen))
-        # -0.0 is not below 0.0, so it stays -0.0, as under np.clip
-        head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
-        if not residual:
-            return head, None
-        return head, self.defect(x, self.value_vector(x), chosen)
-
-    def improve(
-        self, chosen: list[int], values, held: list[float]
-    ) -> tuple[list[int], list[int], list[float]]:
+    def improve(self, chosen: list[int], values, held) -> tuple[list[int], list[int], list[float]]:
         """``chosen`` with each leading state s < len(values) moved to its
         first best row at ``held`` where that is strictly below values[s];
-        the states that moved; and each state's least one-jump value at
-        ``held``, from which :func:`oe_defect` certifies the last sweep."""
+        the states that moved; and each state's least row value at
+        ``held``."""
         best, first = self.least(self.candidates(held))
         better = compress(count(), map(operator.lt, best, values))
         changed = [s for s in better if first[s] != chosen[s]]
@@ -105,18 +76,18 @@ class JumpRows:
         return improved, changed, best
 
 
-def policy_iteration(rows: JumpRows, chosen: list[int], evaluate):
+def policy_iteration(rows: ActionRows, chosen: list[int], evaluate):
     """The one evaluate/improve loop, behind ``solve`` and ``value_iterate``.
 
     ``evaluate(chosen)`` returns a record of the policy playing rows
     ``chosen``, the values of the leading states open to improvement and the
-    value vector ``held``.  Each such state moves to its smallest-id best row
+    vector ``held``.  Each such state moves to its smallest-id best row
     at ``held`` only if that is strictly below its value.  Values never rise
     in exact arithmetic, so no policy comes twice there; a sweep that would
     bring one back differs from the current policy by rounding alone, and the
     loop stops at the current one.  Every other sweep adds a policy to
     ``seen``, so the loop ends.  Yields ``(record, improved rows, changed
-    states, least one-jump values at held)`` per sweep.  Only the last
+    states, least row values at held)`` per sweep.  Only the last
     sweep's least values certify the final policy, so every earlier sweep
     yields None in their place, and its vectors are dropped before the next
     evaluation.
@@ -144,40 +115,57 @@ def oe_defect(values, best: list[float], zero_from: int) -> float:
     return max(map(abs, map(operator.sub, values, best)), default=0.0)
 
 
-class ListRows(JumpRows):
-    """:class:`JumpRows` in plain Python: ``entries[r]`` lists row r's
-    ``(col, weight)`` pairs in summation order."""
+class JumpRows(ActionRows):
+    """One-jump rows over n states: ``entries[r]`` lists row r's ``(col,
+    weight)`` pairs in summation order.  A value vector x is the list of the
+    n state values and then the target's value 1, so column n carries each
+    row's target mass, and row r's value at x is the sum of ``weight *
+    x[col]`` over its entries."""
 
     def __init__(self, actions, state_ptr, entries: list[list[tuple[int, float]]]):
         super().__init__(actions, state_ptr)
         self.entries = entries
-        self._bounds = list(zip(state_ptr, [*state_ptr[1:], len(actions)]))
 
-    def candidates(self, x) -> list[float]:
+    def value_vector(self, values) -> list[float]:
+        """``values`` at the leading states, then zeros, then the target's 1."""
+        return [*values, *[0.0] * (self.n - len(values)), 1.0]
+
+    @staticmethod
+    def _values(rows, x) -> list[float]:
         out = []
-        for row in self.entries:
+        for row in rows:
             total = 0.0
             for col, weight in row:
                 total += weight * x[col]
             out.append(total)
         return out
 
-    def least(self, cand):
-        best, first = [], []
-        for lo, hi in self._bounds:
-            low, at = cand[lo], lo
-            for r in range(lo + 1, hi):
-                if cand[r] < low:  # strictly, so a tie keeps the smaller id
-                    low, at = cand[r], r
-            best.append(low)
-            first.append(at)
-        return best, first
+    def candidates(self, x) -> list[float]:
+        return self._values(self.entries, x)
+
+    def evaluate(self, chosen: list[int], residual: bool = True) -> tuple[list, float | None]:
+        """Values of the policy playing ``chosen`` at the leading states,
+        later states held at zero, clipped to [0, 1]; and, if asked, the
+        :meth:`defect` of its linear system before clipping."""
+        x = solve_banded(len(chosen), *self._triplets(chosen))
+        # -0.0 is not below 0.0, so it stays -0.0
+        head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
+        if not residual:
+            return head, None
+        return head, self.defect(x, self.value_vector(x), chosen)
 
     def defect(self, x, held, chosen) -> float:
-        again = list(map(self.candidates(held).__getitem__, chosen))
-        return max(map(abs, map(operator.sub, x, again)), default=0.0)
+        """sup over s of |x[s] - the value of row ``chosen[s]`` at ``held``|,
+        NaN if any of those is NaN and 0.0 for no states: the sup-norm defect
+        of a solved policy system."""
+        again = self._values(map(self.entries.__getitem__, chosen), held)
+        gaps = list(map(abs, map(operator.sub, x, again)))
+        return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
 
     def _triplets(self, chosen):
+        """``(row, col, weight, c)`` of the policy's system over the leading
+        ``len(chosen)`` states: U's entries, dropping those into later
+        states, and the target masses c."""
         k, target = len(chosen), self.n
         row, col, weight = [], [], []
         add_row, add_col, add_weight = row.append, col.append, weight.append
@@ -193,80 +181,111 @@ class ListRows(JumpRows):
         return row, col, weight, c
 
 
-class ArrayRows(JumpRows):
-    """:class:`JumpRows` on numpy arrays: entry e adds ``ent_weight[e] *
-    x[ent_col[e]]`` to row ``ent_row[e]``.  Row values stay an array
-    between :meth:`candidates` and :meth:`least`."""
+class Passage(ActionRows):
+    """A branching head's rows over states 1..n, state j at position j - 1.
 
-    def __init__(self, actions, state_ptr, ent_row, ent_col, ent_weight):
-        import numpy as np
+    A death lowers the population by one, so ep(i) = q_1 ... q_i, q_j the
+    probability of ever reaching j - 1 from j; above n, q = rho.  An action
+    jumps from j to j - 1 + k with probability p_k, and leaves j's passage
+    for good at the e-th state above with probability C_e(j) = A_{e-1}(j)
+    s_{j+e}, where s = 1 - q and A_d(j) = q_{j+1} ... q_{j+d}; so its
+    passage at j is p_0 / D_a(j), D_a(j) = p_0 + sum_{e>=1} W_e C_e(j), W_e
+    = sum_{k>e} p_k, and 1 - q_a(j) is the same sum over D_a(j): only
+    nonnegative numbers are added or multiplied.  Above n the terms sum to
+    A_{n-j}(j) (1 - rho) G(n - j + 1), G(d) = W_d + rho G(d + 1) formed once
+    per action.  D = 0 gives q = 0: every value from a no-death action on is
+    exactly zero.
 
-        super().__init__(actions, state_ptr)
-        self._ptr = np.asarray(state_ptr, dtype=np.int64)
-        # Row ids of each state, padded with the id of an extra +inf value.
-        n_rows = len(actions)
-        counts = np.diff(self._ptr, append=n_rows)
-        slot = np.arange(counts.max(initial=1))
-        self._pad = np.where(slot < counts[:, None], self._ptr[:, None] + slot, n_rows)
-        self.ent_row = ent_row
-        self.ent_col = ent_col
-        self.ent_weight = ent_weight
-
-    def candidates(self, x):
-        import numpy as np
-
-        # fromiter reads a list about twice as fast as asarray
-        flow = self.ent_weight * np.fromiter(x, float, len(x))[self.ent_col]
-        # bincount of no entries at all comes back as integers
-        return np.bincount(self.ent_row, flow, len(self.actions)).astype(float, copy=False)
-
-    def least(self, cand):
-        import numpy as np
-
-        # argmin takes the first of equal values
-        first = self._ptr + np.append(cand, np.inf)[self._pad].argmin(axis=1)
-        return cand[first].tolist(), first.tolist()
-
-    def defect(self, x, held, chosen) -> float:
-        import numpy as np
-
-        # a NaN anywhere gives a NaN defect, where max() over a list may skip it
-        again = self.candidates(held)[np.fromiter(chosen, np.intp, len(chosen))]
-        return float(np.abs(np.fromiter(x, float, len(x)) - again).max(initial=0.0))
-
-    def _triplets(self, chosen):
-        import numpy as np
-
-        k = len(chosen)
-        slot = np.full(len(self.actions), -1)
-        slot[np.fromiter(chosen, np.intp, k)] = np.arange(k)
-        at = slot[self.ent_row]
-        keep = at >= 0
-        at, col, weight = at[keep], self.ent_col[keep], self.ent_weight[keep]
-        c = np.zeros(k)
-        target = col == self.n
-        c[at[target]] = weight[target]
-        inside = col < k
-        return at[inside], col[inside], weight[inside], c
-
-
-def tail_weight(mech: BranchingMechanism, i: int, m: int, rho_star: float) -> float:
-    """sum over j >= m of p(j|i) * rho_star**(j - m).
-
-    The j = m term carries weight one even at rho_star = 0; the self
-    transition (j = i) never appears because k = 1 is not in the support.
-    Terms are accumulated in ascending j with Kahan compensation.
+    Action a's one-jump value at j is x_{j-1} T_a(j), T_a(j) = q_j + (p_0 -
+    q_j D_a(j)), below x_j = x_{j-1} q_j exactly where T_a(j) < q_j.  The
+    candidates at ``(q, s)`` are every row's T_a, with :meth:`evaluate`'s
+    D_a bit for bit, so a row whose passage is q_j has T_a = q_j up to the
+    rounding of p_0 / D_a.
     """
-    scale = mech.abs_b1
-    total = 0.0
-    comp = 0.0
-    for k, rate in mech.support.items():  # stored in ascending k, hence ascending j
-        j = i - 1 + k
-        if j < m:
-            continue
-        term = (rate / scale) * rho_star ** (j - m)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+
+    def __init__(self, model: CbpModel, rho: float):
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"tail ratio must be a number in [0, 1], got {rho!r}")
+        self.rho = rho = float(rho)
+        super().__init__(
+            tuple(chain.from_iterable(model.admissible)),
+            list(accumulate(map(len, model.admissible[:-1]), initial=0)),
+        )
+        n, sigma = self.n, 1.0 - rho
+        jumps = {}
+        for a in sorted(set(self.actions)):
+            pmf = model.mechanism(a).offspring_pmf()
+            # W_e and sigma G(e), e = 1..min(n, K - 1), from e = K - 1 down
+            # over runs of e sharing one W_e = w.
+            births = sorted((k for k in pmf if k > 1), reverse=True)
+            size = min(n, births[0] - 1)
+            tails, closing = [0.0] * size, [0.0] * size
+            w = g = 0.0
+            for k, below in zip(births, [*births[1:], 1]):
+                w += pmf[k]
+                for _ in range(k - 1, max(below - 1, size), -1):
+                    g = w + rho * g
+                for e in range(min(k - 1, size), below - 1, -1):
+                    g = w + rho * g
+                    tails[e - 1], closing[e - 1] = w, sigma * g
+            jumps[a] = pmf.get(0, 0.0), tails, closing
+        self.jumps = jumps
+        self.reach = max(len(tails) for _, tails, _ in jumps.values())
+        # Row r's T_a is at _row_index[r] of the per-action lists end to end.
+        offset = {a: c * n for c, a in enumerate(jumps)}
+        self._row_index = [offset[a] + j for j, acts in enumerate(model.admissible) for a in acts]
+
+    def evaluate(self, chosen: list[int]) -> tuple[list[float], float]:
+        """The values x_1..x_n of the policy playing rows ``chosen`` and the
+        defect max_j |x_j - x_{j-1} T(j)| of its one-jump equations at
+        them."""
+        n = self.n
+        # Past n, state j weighs (1 - rho) G(n - j + 1) at a state n + 1, s = 1.
+        q, s, jump = [0.0] * (n + 1), [0.0] * n + [1.0], [0.0] * n
+        played = self.played(chosen)
+        rows = list(map(self.jumps.__getitem__, played))
+        for j in range(max(n - self.reach, 0), n):
+            p0, tails, closing = rows[j]
+            if n - j <= len(tails):
+                rows[j] = p0, [*tails[: n - j - 1], closing[n - j - 1]], closing
+        for j in range(n - 1, -1, -1):
+            p0, tails, _ = rows[j]
+            A, leave, l = 1.0, 0.0, j
+            for w in tails:
+                l += 1
+                leave += w * (A * s[l])
+                A *= q[l]
+            den = p0 + leave
+            q[j] = q_j = p0 / den if den else 0.0
+            s[j] = leave / den if den else 1.0
+            jump[j] = q_j + (p0 - q_j * den)
+        values = list(accumulate(q[:n], operator.mul))
+        one_jump = map(operator.mul, [1.0, *values], jump)
+        defect = max(map(abs, map(operator.sub, values, one_jump)), default=0.0)
+        return values, defect
+
+    def candidates(self, held: tuple[list, list]) -> list[float]:
+        q, s = held
+        n = self.n
+        # One pass over e: C_e is added into each action's sums at the
+        # states e below n or more, and state n - e takes its closing term.
+        leave = {a: [0.0] * n for a in self.jumps}
+        closed = {a: [] for a in self.jumps}
+        cand = {}
+        A = [1.0] * n
+        for e in range(1, self.reach + 1):
+            col = list(map(operator.mul, A, s[e:]))
+            edge = n - e
+            for a, (p0, tails, closing) in self.jumps.items():
+                if e > len(tails):
+                    continue
+                t, w = leave[a], tails[e - 1]
+                closed[a].append(t[edge] + A[edge] * closing[e - 1])
+                if e < len(tails):
+                    leave[a] = [x + w * c for x, c in zip(t, col)]
+                    continue
+                cand[a] = [u + (p0 - u * (p0 + (x + w * c))) for u, x, c in zip(q, t, col)]
+                cand[a] += [u + (p0 - u * (p0 + x)) for u, x in zip(q[edge:], closed[a][::-1])]
+            A = list(map(operator.mul, A, q[e:]))
+        flat = list(chain.from_iterable(map(cand.__getitem__, self.jumps)))
+        return list(map(flat.__getitem__, self._row_index))

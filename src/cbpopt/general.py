@@ -10,7 +10,7 @@ bandwidth is the farthest jump back in the state order.  Branching models
 are truncated to a finite window, jumps past it going to the cemetery (value
 zero), so truncated values are lower bounds that grow with the window.
 
-The one-jump rows are plain-Python ``ListRows`` at every size, so this
+The one-jump rows are plain-Python ``JumpRows`` at every size, so this
 module never imports numpy; nor does it load ``solver`` or ``gen_fn``.
 """
 
@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from typing import Mapping
 
-from .embedded import JumpRows, ListRows, oe_defect, policy_iteration
+from .embedded import JumpRows, oe_defect, policy_iteration
 from .errors import NumericalError
 from .model import (
     CbpModel,
@@ -71,8 +71,8 @@ def _avoiding(model: GeneralModel) -> dict[State, str]:
 
 
 def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[State, str]]:
-    """Interior states that are not avoiding, their one-jump rows as
-    :class:`ListRows`, and the avoiding states with their actions.
+    """Interior states that are not avoiding, their one-jump rows, and the
+    avoiding states with their actions.
 
     Entries carry normalized rates into the kept states, then the row's
     target mass; mass into the cemetery or an avoiding state (value zero) is
@@ -99,7 +99,7 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
                 row.append((len(interior), const))
             entries.append(row)
             actions.append(a)
-    return interior, ListRows(tuple(actions), state_ptr, entries), avoiding
+    return interior, JumpRows(tuple(actions), state_ptr, entries), avoiding
 
 
 def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolution:

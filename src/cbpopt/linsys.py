@@ -3,14 +3,13 @@
 Every solve is one pivoted elimination inside the band of U,
 :func:`solve_banded`, which works from U's nonzero entries in O(n p (p + q))
 time and O(n (p + q)) memory, p and q being the lower and upper bandwidths.
-A policy's head system is upper Hessenberg (p = 1) with a narrow upper band;
-general-model policies whose jumps go two or more states down widen p.  The
-band is set up in plain Python from entry lists or by numpy from arrays, and
-the elimination itself is plain Python, so this module loads numpy only when
-it is handed arrays.  The elimination owns the band set up for it and updates
-its rows in place, so a solve makes no list per column and leaves the
-caller's entries untouched.  :func:`solve_unit` hands a dense U to the same
-kernel.
+General-model policies whose jumps go two or more states down widen p.
+Band set-up and elimination are plain Python, so a solve loads no numpy.
+The elimination owns the band set up for it and updates its rows in place,
+so a solve makes no list per column and leaves the caller's entries
+untouched.  :func:`solve_unit` hands a dense U's entries to the same kernel
+as lists; it, :class:`UnitSystem` and :func:`has_invertible_structure` load
+numpy.
 """
 
 from __future__ import annotations
@@ -90,7 +89,8 @@ def solve_unit(system: UnitSystem):
     import numpy as np
 
     rows, cols = np.nonzero(system.U)
-    return np.array(solve_banded(system.n, rows, cols, system.U[rows, cols], system.c))
+    entries = rows.tolist(), cols.tolist(), system.U[rows, cols].tolist()
+    return np.array(solve_banded(system.n, *entries, system.c.tolist()))
 
 
 def solve_banded(n: int, row, col, weight, c) -> list[float]:
@@ -109,23 +109,18 @@ def solve_banded(n: int, row, col, weight, c) -> list[float]:
     p + q + 1 entries from column row - p on, so no n x n array is built, and
     back substitution sums each row's band in column order.
 
-    Entries given as lists or tuples are placed in the band in plain Python,
-    numpy arrays by numpy; both give the same band, and one elimination in
-    plain Python runs on it.
-
     Raises SingularSystem when the chosen pivot falls below ``PIVOT_RTOL``
     times the largest entry of I - U, which signals that the system's
     invertibility hypotheses do not hold.
     """
     if n == 0:
         return []
-    setup = _list_band if isinstance(row, (list, tuple)) else _array_band
-    return _eliminate(n, *setup(n, row, col, weight, c))
+    return _eliminate(n, *_band(n, row, col, weight, c))
 
 
-def _list_band(n: int, row, col, weight, c) -> tuple:
+def _band(n: int, row, col, weight, c) -> tuple:
     """The band rows of I - U, c padded with p zeros, p and the largest
-    entry of I - U, from entry lists."""
+    entry of I - U."""
     offsets = list(map(operator.sub, col, row))
     p = max(1, -min(offsets, default=0))
     width = max(0, max(offsets, default=0)) + p + 1
@@ -142,28 +137,12 @@ def _list_band(n: int, row, col, weight, c) -> tuple:
     return A, x, p, max(map(abs, chain.from_iterable(A)))
 
 
-def _array_band(n: int, row, col, weight, c) -> tuple:
-    """:func:`_list_band` from numpy arrays."""
-    import numpy as np
-
-    row = np.asarray(row, dtype=np.int64)
-    offset = np.asarray(col, dtype=np.int64) - row
-    p = max(1, -int(offset.min(initial=0)))
-    q = int(offset.max(initial=0))
-    A = np.zeros((n + p, p + q + 1))
-    A[:n, p] = 1.0
-    A[row, offset + p] -= weight
-    x = np.asarray(c, dtype=float).tolist()
-    x += [0.0] * p
-    return A.tolist(), x, p, float(np.abs(A).max())
-
-
 def _eliminate(n: int, A: list, x: list, p: int, scale: float) -> list[float]:
     """The elimination of :func:`solve_banded` on the band rows ``A`` of
     I - U, each held from column row - p on, with right-hand side ``x``.
 
-    The kernel owns ``A`` and ``x``, which :func:`_list_band` or
-    :func:`_array_band` built for it, and updates both in place: a row
+    The kernel owns ``A`` and ``x``, which :func:`_band` built for it, and
+    updates both in place: a row
     eliminated at column k drops its first entry and takes a zero at its
     end, so it is held from column k + 1 on.  No list is made per column,
     which keeps a large solve from feeding the cyclic garbage collector.

@@ -3,30 +3,26 @@ controlled branching model.
 
 Head states 1..m carry free action choices; every state above m plays one
 pinned tail action whose generating-function root is smallest over the shared
-tail set.  Each policy is evaluated by one small linear solve: either the
-m-dimensional system closed by the geometric tail weight, or, when the policy
-plays a no-death action somewhere in the head, the smaller system in front of
-the first such state with exact zeros behind it.  Improvement replaces an
-action only where its one-jump value strictly beats the current value, so the
-extinction profile decreases monotonically and the iteration visits each head
-policy at most once.  :func:`_head_rows` is the one place where a backend
-for the compiled rows is picked, by the number of head rows.
-
-Outside the banded elimination, a solve walks the head states as few times
-as it can: a large head is compiled by numpy in one pass over all rows,
-policies are validated by one C-level pass, and the scans for no-death
-actions are skipped when the model has none.
+tail set.  ``embedded.Passage`` evaluates every policy in passage
+probabilities, with no linear system, and improves and certifies on those
+its values give, x_j / x_{j-1}, in ``solve`` as in ``verify_oe``.
+Improvement replaces an action only where its one-jump value strictly beats
+the current value, so the extinction profile decreases monotonically and the
+iteration visits each head policy at most once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
 from . import gen_fn
-from .embedded import ArrayRows, JumpRows, ListRows, oe_defect, policy_iteration, tail_weight
-from .errors import NumericalError, SingularSystem, TooManyPolicies
+from .embedded import Passage, oe_defect, policy_iteration
+from .errors import NumericalError, TooManyPolicies
 from .model import CbpModel, Policy, default_policy, is_integer, population_state, validate_policy
 
 GEOMETRIC = "geometric"
@@ -37,6 +33,8 @@ DEFAULT_BRUTE_CAP = 100_000
 _ATTAIN_TOL = 1e-12
 # Profiles solved under tied tail actions must agree this closely.
 _TIE_PROFILE_TOL = 1e-8
+# The smallest normal float: a ratio over a smaller value decides nothing.
+_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -46,7 +44,8 @@ class ExtinctionProfile:
     ``head_values`` covers states 1..m.  A geometric tail continues above m
     with ratio ``rho_star``; a zero tail is identically zero from ``i0`` on
     (``i0 <= m``, so the zeros already show in the head).  ``residual`` is the
-    sup-norm defect of the linear system behind the head values.
+    defect of the policy's one-jump equations at its values, max_j |x_j -
+    sum_k p_k x_{j-1+k}|, as ``embedded.Passage.evaluate`` forms it.
     """
 
     head_values: tuple[float, ...]
@@ -107,134 +106,59 @@ def zero_death_cutoff(model: CbpModel) -> int:
     return model.m + 1
 
 
-# The in-process crossover of the two backends on head rows (CHANGES.md).
-ARRAY_HEAD_ROWS = 400
+def _reading(x, cutoff: int) -> tuple[list, tuple]:
+    """q_j = x_j / x_{j-1} at the states open to improvement, those up to
+    ``cutoff`` and below the first above a subnormal value, and the passage
+    vector pair with s_j = (x_{j-1} - x_j) / x_{j-1}, held at q = 0, s = 1
+    from ``cutoff`` on and where x_{j-1} = x_j = 0; q = inf above a zero."""
+    below = (1.0, *x)
+    if min(x, default=1.0) >= _NORMAL:  # the same divisions, in C
+        q = list(map(operator.truediv, x, below))
+        s = list(map(operator.truediv, map(operator.sub, below, x), below))
+        top = len(x)
+    else:
+        q = [v / u if u else math.inf if v else 0.0 for u, v in zip(below, x)]
+        s = [(u - v) / u if u else 1.0 for u, v in zip(below, x)]
+        top = next((j for j, u in enumerate(x, 1) if 0.0 < u < _NORMAL), len(x))
+    held = len(q) - cutoff + 1  # none for cutoff = m + 1
+    return q[: min(cutoff, top)], (q[: cutoff - 1] + [0.0] * held, s[: cutoff - 1] + [1.0] * held)
 
 
-def _head_rows(model: CbpModel, rho_star_value: float) -> JumpRows:
-    """The head's compiled one-jump rows under tail ratio ``rho_star_value``.
-
-    State i sits at position i - 1.  Landings on 1..m-1 keep their
-    probabilities, landings from m on fold into state m's column through the
-    tail weight, and extinction from state 1 goes to the target column.  Each row
-    adds its target mass first, its in-head terms in ascending order and its
-    tail term last.  A head of ``ARRAY_HEAD_ROWS`` (state, action) rows or
-    more is compiled by numpy to :class:`ArrayRows`, so it imports numpy; a
-    smaller one is compiled in plain Python to :class:`ListRows`.
-    """
-    actions = tuple(itertools.chain.from_iterable(model.admissible))
-    state_ptr = list(itertools.accumulate(map(len, model.admissible[:-1]), initial=0))
-    if len(actions) >= ARRAY_HEAD_ROWS:
-        return _head_arrays(model, rho_star_value, actions, state_ptr)
-    m = model.m
-    mechs = {a: model.mechanism(a) for a in set(actions)}
-    pmfs = {a: mech.offspring_pmf().items() for a, mech in mechs.items()}
-    entries = []
-    for i, choices in enumerate(model.admissible, 1):
-        for a in choices:
-            row = []
-            for k, p in pmfs[a]:
-                landing = i - 1 + k
-                if landing < m:
-                    row.append((landing - 1 if landing else m, p))
-            if i - 1 + mechs[a].max_k >= m:
-                row.append((m - 1, tail_weight(mechs[a], i, m, rho_star_value)))
-            entries.append(row)
-    return ListRows(actions, state_ptr, entries)
-
-
-def _head_arrays(model: CbpModel, rho_star_value: float, actions, state_ptr) -> ArrayRows:
-    """:func:`_head_rows` by numpy, for large heads, in one pass over all rows.
-
-    A table padded to the widest support holds each action's offspring counts
-    and pmf values; row r reads the line of its action.  Padding counts are
-    m, whose landings always leave the head, so one ``inside`` mask over all
-    rows picks the in-head entries, row by row in ascending k.  Only rows
-    from state m + 1 - max_k on can jump out of the head, so their tail
-    terms are found by a loop over those rows alone and stored after every
-    in-head entry.  Each row thus keeps the summation order of
-    :class:`ListRows`, which ``bincount`` follows.
-    """
-    import numpy as np
-
-    m = model.m
-    names = sorted(set(actions))
-    mechs = {a: model.mechanism(a) for a in names}
-    width = max(len(mech.support) for mech in mechs.values())
-    ks = np.full((len(names), width), m, dtype=np.int64)
-    ps = np.zeros((len(names), width))
-    for c, mech in enumerate(mechs.values()):
-        pmf = mech.offspring_pmf()
-        ks[c, : len(pmf)] = list(pmf)
-        ps[c, : len(pmf)] = list(pmf.values())
-    code = {a: c for c, a in enumerate(names)}
-    row_code = np.fromiter(map(code.__getitem__, actions), np.intp, len(actions))
-    counts = np.fromiter(map(len, model.admissible), np.intp, m)
-    landing = np.repeat(np.arange(m), counts)[:, None] + ks[row_code]
-    inside = landing < m
-    ent_row = np.nonzero(inside)[0]
-    ent_col = landing[inside] - 1
-    ent_col[ent_col < 0] = m
-    tail_rows, tail_weights = [], []
-    first = max(1, m + 1 - max(mech.max_k for mech in mechs.values()))
-    r = state_ptr[first - 1]
-    for i in range(first, m + 1):
-        for a in model.admissible[i - 1]:
-            mech = mechs[a]
-            if i - 1 + mech.max_k >= m:
-                tail_rows.append(r)
-                tail_weights.append(tail_weight(mech, i, m, rho_star_value))
-            r += 1
-    return ArrayRows(
-        actions,
-        state_ptr,
-        np.concatenate([ent_row, np.array(tail_rows, dtype=np.intp)]),
-        np.concatenate([ent_col, np.full(len(tail_rows), m - 1)]),
-        np.concatenate([ps[row_code][inside], tail_weights]),
-    )
-
-
-def _evaluate(model, rows, chosen, rho_star, no_death) -> ExtinctionProfile:
-    """Profile of the policy playing rows ``chosen`` at the head states.
-
-    States from the first no-death choice i0 on are exactly zero, so only the
-    leading i0 - 1 states are solved; without one all m are.
-    """
-    actions = rows.actions
-    scan = enumerate(chosen, 1) if no_death else ()
-    i0 = next((s for s, r in scan if actions[r] in no_death), None)
-    kind = GEOMETRIC if i0 is None else ZERO
-    chosen = chosen if i0 is None else chosen[: i0 - 1]
-    try:
-        head, residual = rows.evaluate(chosen)
-    except SingularSystem as exc:
-        label = "geometric-tail" if kind == GEOMETRIC else "zero-tail"
-        raise SingularSystem(
-            f"policy evaluation ({label} case, {len(chosen)}-state system): {exc}"
-        ) from exc
-    head.extend([0.0] * (model.m - len(head)))
-    rho = float(rho_star) if kind == GEOMETRIC else None
-    return ExtinctionProfile(tuple(head), kind, rho_star=rho, i0=i0, residual=residual)
+def _profile(passage, chosen, no_death) -> ExtinctionProfile:
+    """Profile of the policy playing rows ``chosen``, zero from i0 on."""
+    head, residual = passage.evaluate(chosen)
+    scan = enumerate(passage.played(chosen), 1) if no_death else ()
+    i0 = next((i for i, a in scan if a in no_death), None)
+    kind, rho = (GEOMETRIC, passage.rho) if i0 is None else (ZERO, None)
+    return ExtinctionProfile(tuple(head), kind, rho, i0, residual)
 
 
 def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionProfile:
     """Extinction probabilities of one policy whose tail root equals ``rho_star``.
 
-    With no-death actions absent from the policy's head, the head system is
-    m-dimensional and the tail continues geometrically; otherwise states from
-    the first no-death choice on are exactly zero and only the states in front
-    of it need a solve.
+    With no-death actions absent from the policy's head, the tail continues
+    geometrically; otherwise states from the first no-death choice on are
+    exactly zero.  ``rho_star`` must be a number in [0, 1].
     """
     validate_policy(model, f)
-    rows = _head_rows(model, rho_star)
-    return _evaluate(model, rows, rows.rows_playing(f.head), rho_star, _no_death_actions(model))
+    passage = Passage(model, rho_star)
+    return _profile(passage, passage.rows_playing(f.head), _no_death_actions(model))
 
 
-def _held(rows: JumpRows, profile: ExtinctionProfile, cutoff: int) -> list[float]:
-    """The value vector of the head values, held at zero from ``cutoff`` on."""
-    if profile.m != rows.n:
-        raise ValueError(f"profile covers {profile.m} states but the model has m={rows.n}")
-    return rows.value_vector(profile.head_values[: cutoff - 1])
+def _read(passage: Passage, profile: ExtinctionProfile, cutoff: int) -> tuple[list, tuple, list]:
+    """The :func:`_reading` of the profile's values and every row's T_a."""
+    if profile.m != passage.n:
+        raise ValueError(f"profile covers {profile.m} states but the model has m={passage.n}")
+    values, held = _reading(profile.head_values, cutoff)
+    cand = passage.candidates(held)
+    if not all(map(math.isfinite, cand)):
+        raise ValueError("profile values cannot be read as passage probabilities x_j / x_(j-1)")
+    return values, held, cand
+
+
+def _oe_residual(x, best: list[float], cutoff: int) -> float:
+    """|x_j - x_{j-1} min_a T_a(j)| before the cutoff, |x_j| from it on."""
+    return oe_defect(x, list(map(operator.mul, (1.0, *x), best)), cutoff - 1)
 
 
 def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Policy:
@@ -245,33 +169,34 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     action among those attaining the minimum.  When a no-death action exists
     at some head state, only states up to the first such state are improved
     (with values held at zero from there on); later head states are never
-    touched.
+    touched.  Decisions are taken on the passage probabilities x_j / x_{j-1}
+    of the profile's values, as ``solve`` takes them.
     """
     validate_policy(model, f)
     cutoff = zero_death_cutoff(model)
     if cutoff > model.m and profile.rho_star is None:
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
-    rho_star_value = 0.0 if profile.rho_star is None else profile.rho_star
-    rows = _head_rows(model, rho_star_value)
-    held = _held(rows, profile, cutoff)
-    improved = rows.improve(rows.rows_playing(f.head), profile.head_values[:cutoff], held)[0]
-    return Policy(head=rows.played(improved), tail=f.tail)
+    passage = Passage(model, 0.0 if profile.rho_star is None else profile.rho_star)
+    values, held, _ = _read(passage, profile, cutoff)
+    improved = passage.improve(passage.rows_playing(f.head), values, held)[0]
+    return Policy(head=passage.played(improved), tail=f.tail)
 
 
-def _head_iteration(model, rows, rho_star_value, cutoff, no_death, f) -> tuple[list, float]:
+def _head_iteration(model, rho, cutoff, no_death, f) -> tuple[list, float]:
     """The sweeps' records and the final profile's OE residual."""
+    passage = Passage(model, rho)
 
     def evaluate(chosen):
-        profile = _evaluate(model, rows, chosen, rho_star_value, no_death)
-        held = _held(rows, profile, cutoff)
-        return (chosen, profile), profile.head_values[:cutoff], held
+        profile = _profile(passage, chosen, no_death)
+        return (chosen, profile), *_reading(profile.head_values, cutoff)
 
     records = []
-    sweeps = policy_iteration(rows, rows.rows_playing(f.head), evaluate)
-    for (chosen, profile), _, moved, best in sweeps:
-        policy = Policy(rows.played(chosen), f.tail)
+    for (chosen, profile), _, moved, best in policy_iteration(
+        passage, passage.rows_playing(f.head), evaluate
+    ):
+        policy = Policy(passage.played(chosen), f.tail)
         records.append(IterationRecord(policy, profile, tuple(map((1).__add__, moved))))
-    return records, oe_defect(profile.head_values, best, cutoff - 1)
+    return records, _oe_residual(profile.head_values, best, cutoff)
 
 
 def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> SolveReport:
@@ -293,8 +218,7 @@ def solve(model: CbpModel, start_head: Mapping[int, str] | None = None) -> Solve
     for a in roots.tied:
         root = roots.per_action[a].rho
         if root not in solves:
-            rows = _head_rows(model, root)
-            solves[root] = a, *_head_iteration(model, rows, root, cutoff, no_death, f)
+            solves[root] = a, *_head_iteration(model, root, cutoff, no_death, f)
     _, records, residual = solves.pop(roots.rho_star)
     final = records[-1]
     for a, alt, _ in solves.values():
@@ -323,19 +247,22 @@ def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
     """Sup-norm residual of the optimality equation at the given profile.
 
     Without no-death actions the equation runs over all head states with the
-    geometric tail weight; otherwise it runs over the states in front of the
-    cutoff with values held at zero from the cutoff on, and the residual
-    additionally includes any nonzero value at or beyond the cutoff (those
-    states must be exactly zero at the optimum).
+    values continuing geometrically above m; otherwise it runs over the states
+    in front of the cutoff with values held at zero from the cutoff on, and
+    the residual additionally includes any nonzero value at or beyond the
+    cutoff (those states must be exactly zero at the optimum).  The profile
+    is read as :func:`improve_policy` and ``solve`` read it, so ``solve``'s
+    certificate is this one bit for bit; a nonzero value above a zero has
+    no reading and raises ``ValueError``.
     """
     cutoff = zero_death_cutoff(model)
-    rho_star_value = profile.rho_star
-    if rho_star_value is None:
-        # Below a cutoff the tail column is held at zero and the ratio is moot.
-        rho_star_value = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
-    rows = _head_rows(model, rho_star_value)
-    best = rows.least(rows.candidates(_held(rows, profile, cutoff)))[0]
-    return oe_defect(profile.head_values, best, cutoff - 1)
+    rho = profile.rho_star
+    if rho is None:
+        # Below a cutoff the tail is held at zero and the ratio is moot.
+        rho = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
+    passage = Passage(model, rho)
+    best = passage.least(_read(passage, profile, cutoff)[2])[0]
+    return _oe_residual(profile.head_values, best, cutoff)
 
 
 def brute_force_table(
@@ -348,11 +275,11 @@ def brute_force_table(
     if count > cap:
         raise TooManyPolicies(f"{count} head policies exceed the cap of {cap}")
     roots = gen_fn.rho_star(model)
-    rows = _head_rows(model, roots.rho_star)
+    passage = Passage(model, roots.rho_star)
     no_death = _no_death_actions(model)
     table = []
     for combo in itertools.product(*model.admissible):
-        profile = _evaluate(model, rows, rows.rows_playing(combo), roots.rho_star, no_death)
+        profile = _profile(passage, passage.rows_playing(combo), no_death)
         table.append((Policy(head=combo, tail=roots.a_star), profile))
     m = model.m
     floor = [min(p.head_values[i] for _, p in table) for i in range(m)]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -78,14 +80,63 @@ class EmbeddedRow:
 
 
 def embedded_row(mech: BranchingMechanism, i: int, action: str | None = None) -> EmbeddedRow:
-    """Reference one-jump distribution out of population i >= 1, which the
-    compiled rows of ``embedded.JumpRows`` are checked against."""
+    """Reference one-jump distribution out of population i >= 1."""
     pmf = mech.offspring_pmf()
     return EmbeddedRow(
         state=i,
         action=action,
         entries=MappingProxyType({i - 1 + k: p for k, p in pmf.items()}),
     )
+
+
+def exact_values(model: CbpModel, head, rho: float) -> list[Fraction]:
+    """Exact values ep(1..m) of the policy playing ``head``, tail ratio
+    ``rho`` taken as an exact rational: the minimal solution of x = P x,
+    P built from the rates, x_0 = 1 and x_{m+e} = rho**e x_m above the head.
+
+    States from the first no-death choice i0 on are zero; the states before
+    it are solved by Gaussian elimination over the rationals, so the oracle
+    shares no arithmetic, and no algorithm, with the package.
+    """
+    m, rho = model.m, Fraction(rho)
+    i0 = next((i for i, a in enumerate(head, 1) if model.mechanism(a).b0 == 0.0), m + 1)
+    n = i0 - 1
+    # Row i - 1 of [I - U | c] for state i; landings from i0 on weigh zero.
+    system = [[Fraction(0)] * (n + 1) for _ in range(n)]
+    for i in range(1, n + 1):
+        rates = {k: Fraction(b) for k, b in model.mechanism(head[i - 1]).support.items()}
+        total = sum(rates.values())
+        row = system[i - 1]
+        row[i - 1] += 1
+        for k, b in rates.items():
+            j = i - 1 + k
+            if j == 0:
+                row[n] += b / total
+            elif j <= m and j < i0:
+                row[j - 1] -= b / total
+            elif j > m and i0 > m:
+                row[m - 1] -= b / total * rho ** (j - m)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(col + 1, n):
+            if system[r][col]:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    x = [Fraction(0)] * m
+    for i in range(n - 1, -1, -1):
+        row = system[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n))) / row[i]
+    return x
+
+
+def relative_errors(values, exact) -> list[float]:
+    """|value - exact| / exact per state, 0 where both are 0 and inf where
+    only the exact value is."""
+    return [
+        float(abs(Fraction(v) - e) / e) if e else (0.0 if v == 0.0 else math.inf)
+        for v, e in zip(values, exact)
+    ]
 
 
 def bisect_min_root(mech: BranchingMechanism, tol: float = 1e-12) -> float:

@@ -1,12 +1,12 @@
+import math
 import weakref
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbpopt import tail_weight, validate_mechanism
-from cbpopt.embedded import ArrayRows, ListRows, oe_defect, policy_iteration
+from cbpopt import validate_mechanism
+from cbpopt.embedded import JumpRows, oe_defect, policy_iteration
 from conftest import embedded_row, mechanism_st
 
 # Three states and the target column 3.  At HELD, state 0's rows value
@@ -27,22 +27,10 @@ HELD = [*VALUES, 1.0]
 LEAST = [0.25, 0.5, 0.125]
 
 
-def _array_rows():
-    # ENTRIES entry by entry: its row, column and weight.
-    return ArrayRows(
-        ACTIONS,
-        STATE_PTR,
-        np.array([0, 0, 1, 1, 2, 3, 4, 4, 5]),
-        np.array([3, 1, 3, 2, 1, 3, 0, 3, 3]),
-        np.array([0.5, 0.5, 0.125, 0.5, 0.5, 0.5, 0.5, 0.25, 0.125]),
-    )
-
-
-@pytest.fixture(params=["list", "array"])
+# The id keeps the test names of the rows held as Python lists.
+@pytest.fixture(params=["list"])
 def rows(request):
-    if request.param == "list":
-        return ListRows(ACTIONS, STATE_PTR, ENTRIES)
-    return _array_rows()
+    return JumpRows(ACTIONS, STATE_PTR, ENTRIES)
 
 
 class TestJumpRowsContract:
@@ -97,11 +85,10 @@ class TestJumpRowsContract:
         assert type(defect) is float
 
 
-def test_array_defect_of_a_nan_is_nan():
-    # numpy's max keeps a NaN wherever it is; max() over a list would skip
-    # one that is not first.
+def test_defect_of_a_nan_is_nan():
+    # max() over a list skips a NaN that is not first; the defect keeps it.
     x = [0.5, 0.5, float("nan")]
-    assert np.isnan(_array_rows().defect(x, [*x, 1.0], [1, 3, 5]))
+    assert math.isnan(JumpRows(ACTIONS, STATE_PTR, ENTRIES).defect(x, [*x, 1.0], [0, 3, 5]))
 
 
 class TestEmbeddedRow:
@@ -128,46 +115,6 @@ class TestEmbeddedRow:
         assert abs(sum(row.entries.values()) - 1.0) <= 1e-12
         assert i not in row.entries
         assert all(j >= i - 1 for j in row.entries)
-
-
-class TestTailWeight:
-    def test_single_upward_term(self):
-        mech = validate_mechanism({0: 1.0, 2: 2.0})
-        assert tail_weight(mech, 1, 1, 0.5) == pytest.approx(1 / 3, abs=1e-15)
-
-    def test_zero_rho_short_reach(self):
-        mech = validate_mechanism({0: 1.0, 2: 2.0})
-        assert tail_weight(mech, 1, 3, 0.0) == 0.0
-
-    def test_rare_birth(self):
-        mech = validate_mechanism({0: 3.0, 2: 1.0})
-        assert tail_weight(mech, 1, 1, 0.5) == pytest.approx(1 / 8, abs=1e-15)
-
-    def test_zero_rho_keeps_landing_mass(self):
-        # The j = m term survives at rho = 0 because its power is zero.
-        mech = validate_mechanism({0: 1.0, 2: 2.0})
-        assert tail_weight(mech, 2, 3, 0.0) == pytest.approx(2 / 3, abs=1e-15)
-
-    @given(
-        mechanism_st(),
-        st.integers(min_value=1, max_value=6),
-        st.floats(min_value=0.0, max_value=1.0),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_bounded_by_tail_mass(self, mech, i, rho_value):
-        m = 6
-        weight = tail_weight(mech, i, m, rho_value)
-        mass = sum(p for j, p in embedded_row(mech, i).entries.items() if j >= m)
-        assert -1e-15 <= weight <= mass + 1e-15
-        assert mass <= 1.0 + 1e-15
-
-    @given(mechanism_st(), st.integers(min_value=1, max_value=6))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_rho(self, mech, i):
-        m = 4
-        grid = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
-        weights = [tail_weight(mech, i, m, r) for r in grid]
-        assert all(b >= a - 1e-15 for a, b in zip(weights, weights[1:]))
 
 
 class _AlternatingRows:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbpopt import SingularSystem, UnitSystem, has_invertible_structure, solve_unit
-from cbpopt.linsys import PIVOT_RTOL, _list_band, solve_banded
+from cbpopt.linsys import PIVOT_RTOL, _band, solve_banded
 
 
 def random_structured(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -283,7 +283,7 @@ def banded_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
     row, col = np.nonzero(U)
     row, col = row[::-1], col[::-1]
     x = np.array(solve_banded(len(c), row, col, U[row, col], c))
-    # The band set up in plain Python from lists is numpy's, bit for bit.
+    # Entries given as numpy arrays and as lists give the same bits.
     listed = solve_banded(len(c), row.tolist(), col.tolist(), U[row, col].tolist(), c.tolist())
     assert np.array(listed).tobytes() == x.tobytes()
     return x
@@ -393,7 +393,7 @@ class TestKernelOwnsTheBand:
             finally:
                 tracemalloc.stop()
 
-        band = peak(_list_band)
+        band = peak(_band)
         assert peak(solve_banded) <= 1.25 * band
 
     @pytest.mark.parametrize(

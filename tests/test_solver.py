@@ -1,5 +1,8 @@
+import json
 import math
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from cbpopt import (
     InadmissibleAction,
     NumericalError,
     Policy,
-    SingularSystem,
     TooManyPolicies,
     brute_force,
     brute_force_table,
@@ -22,15 +24,21 @@ from cbpopt import (
     improve_policy,
     rho_star,
     solve,
-    tail_weight,
     validate_cbp_model,
     verify_oe,
     zero_death_cutoff,
 )
 from cbpopt import solver
-from cbpopt.embedded import ArrayRows, ListRows
-from cbpopt.solver import _head_rows
-from conftest import bisect_min_root, embedded_row, random_cbp_model, random_mechanism_entries
+from cbpopt.cli import main
+from cbpopt.embedded import Passage
+from conftest import (
+    bisect_min_root,
+    embedded_row,
+    exact_values,
+    random_cbp_model,
+    random_mechanism_entries,
+    relative_errors,
+)
 
 
 class TestZeroDeathCutoff:
@@ -92,11 +100,18 @@ class TestNoDeathDecision:
                 model.m - reference_i0 + 1
             )
         # State s plays its own row of the policy's action.
-        rows = _head_rows(model, 0.5)
+        rows = Passage(model, 0.5)
         ends = np.append(rows.state_ptr[1:], len(rows.actions))
         for s, r in enumerate(rows.rows_playing(head)):
             assert rows.state_ptr[s] <= r < ends[s]
             assert rows.actions[r] == head[s]
+
+
+def _tail_weight(mech, i, m, rho_value):
+    """sum over j >= m of p(j|i) * rho_value**(j - m): the values above m,
+    rho**(j - m) x_m, folded into state m's column."""
+    entries = embedded_row(mech, i).entries.items()
+    return sum(p * rho_value ** (j - m) for j, p in entries if j >= m)
 
 
 def _reference_system(model, head, rho_value):
@@ -116,55 +131,8 @@ def _reference_system(model, head, rho_value):
             elif j <= size and j < m:
                 U[i - 1, j - 1] = p
         if i0 is None:
-            U[i - 1, m - 1] = tail_weight(mech, i, m, rho_value)
+            U[i - 1, m - 1] = _tail_weight(mech, i, m, rho_value)
     return U, c, i0
-
-
-@st.composite
-def _random_head(draw):
-    """A head of m = 1..40 states over 1..4 actions with supports in
-    {0, 2..8}, some without death; each state admits its own subset."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mechanisms = {}
-    for j in range(int(rng.integers(1, 5))):
-        births = [k for k in range(2, 9) if rng.random() < 0.4] or [int(rng.integers(2, 9))]
-        ks = births if rng.random() < 0.3 else [0, *births]
-        mechanisms[f"a{j}"] = {k: float(rng.uniform(0.1, 3.0)) for k in ks}
-    ids = list(mechanisms)
-    m = int(rng.integers(1, 41))
-    admissible = {
-        i: [a for a in ids if rng.random() < 0.6] or [ids[int(rng.integers(len(ids)))]]
-        for i in range(1, m + 1)
-    }
-    return validate_cbp_model(m, admissible, ids, mechanisms), float(rng.uniform(0.0, 1.0))
-
-
-def _compiled(model, rho_value, limit):
-    saved = solver.ARRAY_HEAD_ROWS
-    solver.ARRAY_HEAD_ROWS = limit
-    try:
-        return _head_rows(model, rho_value)
-    finally:
-        solver.ARRAY_HEAD_ROWS = saved
-
-
-@given(_random_head())
-@settings(max_examples=150, deadline=None)
-def test_array_head_rows_keep_the_list_summation_order(case):
-    # ArrayRows sums each row in array order (bincount), ListRows in list
-    # order; the two give the same bits only if every row's entries come in
-    # the same order: target, in-head terms ascending, tail term last.
-    model, rho_value = case
-    arrays = _compiled(model, rho_value, 0)
-    lists = _compiled(model, rho_value, math.inf)
-    assert (type(arrays), type(lists)) == (ArrayRows, ListRows)
-    assert (arrays.actions, arrays.state_ptr) == (lists.actions, lists.state_ptr)
-    by_row = [[] for _ in arrays.actions]
-    for r, col, weight in zip(
-        arrays.ent_row.tolist(), arrays.ent_col.tolist(), arrays.ent_weight.tolist()
-    ):
-        by_row[r].append((col, weight.hex()))
-    assert by_row == [[(col, weight.hex()) for col, weight in row] for row in lists.entries]
 
 
 class TestDefaultPolicy:
@@ -223,17 +191,16 @@ class TestEvaluatePolicy:
         with pytest.raises(InadmissibleAction):
             evaluate_policy(two_action_model, Policy(("missing",), "a1"), 0.5)
 
-    def test_singular_system_names_the_case_and_size(self):
-        # With the tail ratio forced to 2, state 1's tail weight is 0.5 * 2 = 1
-        # and its row of I - U vanishes.
-        model = validate_cbp_model(1, {1: ["a"]}, ["a"], {"a": {0: 1.0, 2: 1.0}})
-        with pytest.raises(SingularSystem) as err:
-            evaluate_policy(model, Policy(("a",), "a"), 2.0)
-        assert str(err.value) == (
-            "policy evaluation (geometric-tail case, 1-state system):"
-            " coefficient matrix is identically zero"
-        )
-        assert type(err.value.__cause__) is SingularSystem
+    @pytest.mark.parametrize("rho", [-0.5, math.inf, 1.5, math.nan])
+    def test_tail_ratio_must_be_a_probability(self, two_action_model, rho):
+        # The ratio is the passage probability above m.
+        f = Policy(("a1",), "a1")
+        message = f"^tail ratio must be a number in \\[0, 1\\], got {rho!r}$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_policy(two_action_model, f, rho)
+        profile = ExtinctionProfile((0.5,), GEOMETRIC, rho_star=rho)
+        with pytest.raises(ValueError, match=message):
+            improve_policy(two_action_model, f, profile)
 
     def test_values_within_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -362,12 +329,13 @@ class TestSolve:
             },
         )
         built = []
+        head_iteration = solver._head_iteration
 
-        def head_rows(model, root):
+        def record_root(model, root, *args):
             built.append(root)
-            return _head_rows(model, root)
+            return head_iteration(model, root, *args)
 
-        monkeypatch.setattr(solver, "_head_rows", head_rows)
+        monkeypatch.setattr(solver, "_head_iteration", record_root)
         report = solve(model)
         assert report.tied == ("a1", "a3")
         assert built == [0.5]
@@ -492,50 +460,53 @@ class TestVerifyOe:
         assert verify_oe(zero_death_model, fake) >= 0.2
 
 
-def _reference_one_jump(model, i, action, values, rho_value, cutoff):
-    """One-jump value at state i, written out per entry: with the geometric
-    tail folded in when no no-death action exists, truncated below the
-    cutoff otherwise."""
-    m = model.m
-    mech = model.mechanism(action)
-    row = embedded_row(mech, i).entries
-    total = row.get(0, 0.0)
-    last = m - 1 if cutoff == m + 1 else cutoff - 1
-    for j, p in row.items():
-        if 1 <= j <= last:
-            total += p * values[j - 1]
-    if cutoff == m + 1:
-        total += tail_weight(mech, i, m, rho_value) * values[m - 1]
-    return total
-
-
-def _reference_improve(model, f, values, rho_value):
-    cutoff = zero_death_cutoff(model)
-    head = list(f.head)
-    for i in range(1, min(cutoff, model.m) + 1):
-        best_action, best_value = None, np.inf
-        for a in model.admissible[i - 1]:
-            v = _reference_one_jump(model, i, a, values, rho_value, cutoff)
-            if v < values[i - 1] and v < best_value:
-                best_action, best_value = a, v
-        if best_action is not None:
-            head[i - 1] = best_action
-    return Policy(tuple(head), f.tail)
-
-
-def _reference_oe(model, values, rho_value):
-    cutoff = zero_death_cutoff(model)
-    worst = 0.0
-    for i in range(1, model.m + 1):
-        if i < cutoff:
-            best = min(
-                _reference_one_jump(model, i, a, values, rho_value, cutoff)
-                for a in model.admissible[i - 1]
-            )
-            worst = max(worst, abs(values[i - 1] - best))
+def _exact_one_jump(model, i, action, x, rho_value, cutoff):
+    """Exact one-jump value of ``action`` at state i from the exact values
+    ``x`` of states 1..m, with x_0 = 1, x_{m+e} = rho**e x_m above the head
+    and every value held at zero from the cutoff on."""
+    m, rates = model.m, model.mechanism(action).support
+    total = sum(map(Fraction, rates.values()))
+    value = Fraction(0)
+    for k, b in rates.items():
+        j = i - 1 + k
+        if j == 0:
+            landing = Fraction(1)
+        elif j >= cutoff:  # past m only when the cutoff is m + 1
+            landing = Fraction(0) if cutoff <= m else Fraction(rho_value) ** (j - m) * x[m - 1]
         else:
-            worst = max(worst, abs(values[i - 1]))
-    return worst
+            landing = x[j - 1]
+        value += Fraction(b) / total * landing
+    return value
+
+
+def _exact_jumps(model, x, rho_value):
+    """Each state's exact one-jump value per admissible action, up to the
+    cutoff."""
+    cutoff = zero_death_cutoff(model)
+    return [
+        {a: _exact_one_jump(model, i, a, x, rho_value, cutoff) for a in model.admissible[i - 1]}
+        for i in range(1, min(cutoff, model.m) + 1)
+    ]
+
+
+def _exact_oe(model, x, rho_value):
+    """Exact optimality-equation residual at the exact values ``x``."""
+    jumps = _exact_jumps(model, x, rho_value)
+    gaps = [abs(v - min(row.values())) for v, row in zip(x, jumps)]
+    gaps += [abs(v) for v in x[zero_death_cutoff(model) - 1 :]]
+    return float(max(gaps))
+
+
+def _steep(values, cutoff):
+    """Whether a value in front of the cutoff lies above an earlier zero, or
+    above an earlier positive value by a factor past 2**900: values that
+    cannot be read as passage probabilities x_j / x_{j-1} in floats."""
+    low = 1.0
+    for v in values[: cutoff - 1]:
+        if v > 0.0 and (low == 0.0 or v / low > 2.0**900):
+            return True
+        low = min(low, v)
+    return False
 
 
 @st.composite
@@ -550,18 +521,80 @@ def _model_policy_values(draw):
     return model, head, values
 
 
+# Improvement decisions and certificates are checked against exact arithmetic
+# where the exact margin exceeds this, relative to the largest value from the
+# state below on (the scale of every one-jump value there).
+_EXACT_TOL = 1e-12
+
+
 class TestOneJumpOperator:
     @given(_model_policy_values())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loops_exactly(self, case):
-        model, head, values = case
+        # Improvement and certificate at the drawn values, and at the
+        # policy's evaluated values, agree with exact one-jump arithmetic on
+        # those same values wherever the margin is clear of rounding.
+        model, head, drawn = case
         roots = rho_star(model)
         f = Policy(head, roots.a_star)
-        profile = ExtinctionProfile(values, GEOMETRIC, rho_star=roots.rho_star)
-        assert improve_policy(model, f, profile) == _reference_improve(
-            model, f, values, roots.rho_star
-        )
-        assert verify_oe(model, profile) == _reference_oe(model, values, roots.rho_star)
+        cutoff = zero_death_cutoff(model)
+        evaluated = evaluate_policy(model, f, roots.rho_star).head_values
+        for values in (drawn, evaluated):
+            profile = ExtinctionProfile(values, GEOMETRIC, rho_star=roots.rho_star)
+            try:
+                improved = improve_policy(model, f, profile).head
+                oe = verify_oe(model, profile)
+            except ValueError:
+                assert _steep(values, cutoff)
+                continue
+            x = list(map(Fraction, values))
+            # A ratio over a subnormal value decides nothing: the states
+            # above the first one stay.
+            top = next((j for j, v in enumerate(values, 1) if 0.0 < v < sys.float_info.min), 0)
+            for i, jumps in enumerate(_exact_jumps(model, x, roots.rho_star), 1):
+                # Every one-jump value at state i is a mean of values from
+                # state i - 1 on.
+                tol = _EXACT_TOL * max((1, *x)[i - 1 :])
+                low, mine = min(jumps.values()), jumps[improved[i - 1]]
+                if top and i > top:
+                    assert improved[i - 1] == head[i - 1]
+                elif improved[i - 1] != head[i - 1]:
+                    assert mine - low <= tol and mine - x[i - 1] < tol
+                else:
+                    assert x[i - 1] - low <= tol or mine - low <= tol
+            assert abs(oe - _exact_oe(model, x, roots.rho_star)) <= _EXACT_TOL
+
+    def test_value_above_a_zero_is_rejected(self):
+        # (0, 0.5) is no extinction profile: nothing reaches 0 through state
+        # 1 from state 2 if state 1 cannot.  Its OE residual, 5/6, has no
+        # reading in passage probabilities.
+        model = validate_cbp_model(2, {1: ["a"], 2: ["a"]}, ["a"], {"a": {0: 2.0, 2: 1.0}})
+        f = Policy(("a", "a"), "a")
+        profile = ExtinctionProfile((0.0, 0.5), GEOMETRIC, rho_star=1.0)
+        message = "cannot be read as passage probabilities"
+        with pytest.raises(ValueError, match=message):
+            verify_oe(model, profile)
+        with pytest.raises(ValueError, match=message):
+            improve_policy(model, f, profile)
+        zeros = ExtinctionProfile((0.0, 0.0), GEOMETRIC, rho_star=1.0)
+        assert verify_oe(model, zeros) == 2 / 3
+        assert improve_policy(model, f, zeros) == f
+
+    def test_profile_of_another_model_of_the_same_size(self):
+        # The certificate reads the values under the model it is given, here
+        # one reaching further than the model the values came from.
+        short = validate_cbp_model(3, {i: ["a"] for i in (1, 2, 3)}, ["a"], {"a": {0: 1.0, 2: 2.0}})
+        mechs = {"a": {0: 1.0, 2: 2.0}, "b": {0: 0.2, 5: 1.0}, "c": {0: 3.0, 4: 1.0}}
+        far = validate_cbp_model(3, {i: ["a", "b", "c"] for i in (1, 2, 3)}, ["a"], mechs)
+        roots = rho_star(short)
+        profile = evaluate_policy(short, Policy(("a",) * 3, "a"), roots.rho_star)
+        x = list(map(Fraction, profile.head_values))
+        exact_oe = _exact_oe(far, x, roots.rho_star)
+        assert exact_oe > 0.01
+        assert abs(verify_oe(far, profile) - exact_oe) <= _EXACT_TOL
+        improved = improve_policy(far, Policy(("a",) * 3, "a"), profile).head
+        for i, jumps in enumerate(_exact_jumps(far, x, roots.rho_star), 1):
+            assert jumps[improved[i - 1]] == min(jumps.values())
 
     @given(_model_policy_values())
     @settings(max_examples=80, deadline=None)
@@ -582,13 +615,81 @@ class TestOneJumpOperator:
     @given(_model_policy_values())
     @settings(max_examples=50, deadline=None)
     def test_solve_certificate_matches_reference(self, case):
+        # The reported policy is optimal in exact arithmetic, and its values
+        # and certificate agree with its exact values.
         model = case[0]
         report = solve(model)
+        x = exact_values(model, report.optimal_policy.head, report.rho_star)
         values = report.optimal_profile.head_values
-        assert report.oe_residual == _reference_oe(model, values, report.rho_star)
-        assert _reference_improve(model, report.optimal_policy, values, report.rho_star) == (
-            report.optimal_policy
+        assert max(relative_errors(values, x), default=0.0) <= 1e-14
+        exact_residual = _exact_oe(model, x, report.rho_star)
+        assert exact_residual <= _EXACT_TOL
+        assert abs(report.oe_residual - exact_residual) <= _EXACT_TOL
+
+
+def _trap(m: int, split: int):
+    """Supercritical u at states 1..split, subcritical d above, u in the
+    tail: the head system's pivots cancel to rounding at these sizes."""
+    mechs = {"u": {0: 1.0, 2: 2.0}, "d": {0: 2.0, 2: 1.0}}
+    model = validate_cbp_model(m, {i: ["d", "u"] for i in range(1, m + 1)}, ["u"], mechs)
+    return model, tuple("u" if i <= split else "d" for i in range(1, m + 1))
+
+
+class TestExactOracle:
+    """Values against the exact solve from the rates (conftest.exact_values)."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_policies_are_accurate(self, seed, zero_death_prob):
+        rng = np.random.default_rng(seed)
+        model = random_cbp_model(
+            rng, max_m=7, max_actions=3, ks=(0, 2, 3, 4), zero_death_prob=zero_death_prob
         )
+        roots = rho_star(model)
+        head = tuple(c[int(rng.integers(len(c)))] for c in model.admissible)
+        profile = evaluate_policy(model, Policy(head, roots.a_star), roots.rho_star)
+        exact = exact_values(model, head, roots.rho_star)
+        assert max(relative_errors(profile.head_values, exact)) <= 1e-14
+
+    def test_trap_at_m_70_is_accurate(self, tmp_path, capsys):
+        # The head system's elimination was off by 1.3e-5 here with residual
+        # 1.1e-16, and exited 0.
+        model, head = _trap(70, 35)
+        doc = {
+            "kind": "cbp",
+            "cbp": {
+                "m": 70,
+                "actions": [{"id": a, "b": {str(k): b for k, b in mech.support.items()}}
+                            for a, mech in model.mechanisms.items()],
+                "admissible": {str(i): ["d", "u"] for i in range(1, 71)},
+                "tail": ["u"],
+            },
+        }
+        path = tmp_path / "trap.json"
+        path.write_text(json.dumps(doc))
+        spec = ",".join(f"{i}:{a}" for i, a in enumerate(head, 1))
+        assert main(["evaluate", str(path), "--policy", spec, "--json"]) == 0
+        values = json.loads(capsys.readouterr().out)["profile"]["head_values"]
+        exact = exact_values(model, head, rho_star(model).rho_star)
+        assert max(relative_errors(values, exact)) <= 1e-13
+
+    def test_half_split_at_m_100_is_accurate(self):
+        # The head system was singular to working precision here.
+        model, head = _trap(100, 50)
+        rho = rho_star(model).rho_star
+        profile = evaluate_policy(model, Policy(head, "u"), rho)
+        assert max(relative_errors(profile.head_values, exact_values(model, head, rho))) <= 1e-13
+
+    def test_certain_extinction_is_exactly_one(self):
+        # Every exact value is 1; the head system gave 0.99999999998628.
+        model = random_cbp_model(
+            np.random.default_rng(2210), max_m=6, max_actions=3, ks=(0, 2, 3, 4),
+            zero_death_prob=0.15,
+        )
+        report = solve(model)
+        exact = exact_values(model, report.optimal_policy.head, report.rho_star)
+        assert exact == [1] * model.m
+        assert report.optimal_profile.head_values == (1.0,) * model.m
 
 
 class TestBruteForce:
