@@ -2,9 +2,11 @@
 
 Every operator holds one row per (state, action) and improves by one rule,
 :meth:`ActionRows.improve`; :func:`policy_iteration` is the one loop, for
-branching and general models alike.  :class:`JumpRows` evaluates a general
-model's policy by one banded solve, :class:`Passage` a branching head's by
-one backward pass in passage probabilities, with no linear system (the
+branching and general models alike.  :class:`JumpRows` holds a general
+model's rows, each as its entries into the states and, apart, its target
+mass, and evaluates a policy by one banded solve of its chosen rows;
+:class:`Passage` evaluates a branching head's policy by one backward pass
+in passage probabilities, with no linear system (the
 scalar first-passage decomposition of skip-free chains: Latouche &
 Ramaswami, *Introduction to Matrix Analytic Methods in Stochastic
 Modeling*, SIAM 1999; subtraction-free as in Grassmann, Taksar & Heyman).
@@ -12,7 +14,6 @@ Modeling*, SIAM 1999; subtraction-free as in Grassmann, Taksar & Heyman).
 
 from __future__ import annotations
 
-import math
 import operator
 from itertools import accumulate, chain, compress, count
 from typing import Sequence
@@ -23,8 +24,8 @@ from .model import CbpModel
 
 class ActionRows:
     """Rows grouped by state, actions in sorted order; ``state_ptr[s]`` is
-    the first row of state s.  A policy over the leading states is the list
-    ``chosen`` of the row each one plays.
+    the first row of state s.  A policy is the list ``chosen`` of the row
+    each state plays.
 
     An operator supplies ``candidates(held)``, every row's value at the
     vector ``held``; each state's least value there and the first
@@ -41,8 +42,8 @@ class ActionRows:
         return len(self.state_ptr)
 
     def rows_playing(self, choice: Sequence[str]) -> list[int]:
-        """Row of each leading state s playing ``choice[s]``, which must be
-        one of its actions."""
+        """Row of each state s playing ``choice[s]``, which must be one of
+        its actions."""
         return list(map(self.actions.index, choice, self.state_ptr))
 
     def played(self, chosen: Sequence[int]) -> tuple[str, ...]:
@@ -62,12 +63,12 @@ class ActionRows:
             first.append(at)
         return best, first
 
-    def improve(self, chosen: list[int], values, held) -> tuple[list[int], list[int], list[float]]:
+    def improve(self, chosen: list[int], values, cand) -> tuple[list[int], list[int], list[float]]:
         """``chosen`` with each leading state s < len(values) moved to its
-        first best row at ``held`` where that is strictly below values[s];
-        the states that moved; and each state's least row value at
-        ``held``."""
-        best, first = self.least(self.candidates(held))
+        first best row in the row values ``cand`` where that is strictly
+        below values[s]; the states that moved; and each state's least row
+        value in ``cand``."""
+        best, first = self.least(cand)
         better = compress(count(), map(operator.lt, best, values))
         changed = [s for s in better if first[s] != chosen[s]]
         improved = list(chosen)
@@ -96,7 +97,7 @@ def policy_iteration(rows: ActionRows, chosen: list[int], evaluate):
     while True:
         seen.add(tuple(chosen))
         record, values, held = evaluate(chosen)
-        improved, changed, best = rows.improve(chosen, values, held)
+        improved, changed, best = rows.improve(chosen, values, rows.candidates(held))
         if changed and tuple(improved) in seen:
             improved, changed = chosen, []
         if not changed:
@@ -117,68 +118,32 @@ def oe_defect(values, best: list[float], zero_from: int) -> float:
 
 class JumpRows(ActionRows):
     """One-jump rows over n states: ``entries[r]`` lists row r's ``(col,
-    weight)`` pairs in summation order.  A value vector x is the list of the
-    n state values and then the target's value 1, so column n carries each
-    row's target mass, and row r's value at x is the sum of ``weight *
-    x[col]`` over its entries."""
+    weight)`` pairs into the states, in summation order, and ``target[r]``
+    is its mass into the target (value 1).  Row r's value at the state
+    values x is the sum of ``weight * x[col]`` over its entries, plus its
+    target mass last."""
 
-    def __init__(self, actions, state_ptr, entries: list[list[tuple[int, float]]]):
+    def __init__(self, actions, state_ptr, entries: list[list[tuple[int, float]]], target: list):
         super().__init__(actions, state_ptr)
         self.entries = entries
+        self.target = target
 
-    def value_vector(self, values) -> list[float]:
-        """``values`` at the leading states, then zeros, then the target's 1."""
-        return [*values, *[0.0] * (self.n - len(values)), 1.0]
-
-    @staticmethod
-    def _values(rows, x) -> list[float]:
+    def candidates(self, x) -> list[float]:
         out = []
-        for row in rows:
+        for row, mass in zip(self.entries, self.target):
             total = 0.0
             for col, weight in row:
                 total += weight * x[col]
-            out.append(total)
+            out.append(total + mass)
         return out
 
-    def candidates(self, x) -> list[float]:
-        return self._values(self.entries, x)
-
-    def evaluate(self, chosen: list[int], residual: bool = True) -> tuple[list, float | None]:
-        """Values of the policy playing ``chosen`` at the leading states,
-        later states held at zero, clipped to [0, 1]; and, if asked, the
-        :meth:`defect` of its linear system before clipping."""
-        x = solve_banded(len(chosen), *self._triplets(chosen))
+    def evaluate(self, chosen: list[int]) -> list[float]:
+        """Values of the policy playing rows ``chosen``, clipped to [0, 1]."""
+        x = solve_banded(
+            list(map(self.entries.__getitem__, chosen)), list(map(self.target.__getitem__, chosen))
+        )
         # -0.0 is not below 0.0, so it stays -0.0
-        head = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
-        if not residual:
-            return head, None
-        return head, self.defect(x, self.value_vector(x), chosen)
-
-    def defect(self, x, held, chosen) -> float:
-        """sup over s of |x[s] - the value of row ``chosen[s]`` at ``held``|,
-        NaN if any of those is NaN and 0.0 for no states: the sup-norm defect
-        of a solved policy system."""
-        again = self._values(map(self.entries.__getitem__, chosen), held)
-        gaps = list(map(abs, map(operator.sub, x, again)))
-        return math.nan if any(map(math.isnan, gaps)) else max(gaps, default=0.0)
-
-    def _triplets(self, chosen):
-        """``(row, col, weight, c)`` of the policy's system over the leading
-        ``len(chosen)`` states: U's entries, dropping those into later
-        states, and the target masses c."""
-        k, target = len(chosen), self.n
-        row, col, weight = [], [], []
-        add_row, add_col, add_weight = row.append, col.append, weight.append
-        c = [0.0] * k
-        for s, r in enumerate(chosen):
-            for j, w in self.entries[r]:
-                if j < k:
-                    add_row(s)
-                    add_col(j)
-                    add_weight(w)
-                elif j == target:
-                    c[s] = w
-        return row, col, weight, c
+        return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in x]
 
 
 class Passage(ActionRows):

@@ -5,10 +5,11 @@ policy keeps off the target surely ("Prob0E": Forejt, Kwiatkowska, Norman &
 Parker, SFM 2011, section 4).  Every policy leaves the other states with
 positive probability, so there the optimality equation has one solution,
 which ``embedded``'s policy iteration, the loop behind ``solve`` too,
-reaches exactly.  Each policy is evaluated by one banded solve, whose lower
-bandwidth is the farthest jump back in the state order.  Branching models
-are truncated to a finite window, jumps past it going to the cemetery (value
-zero), so truncated values are lower bounds that grow with the window.
+reaches exactly.  Each policy is evaluated by one banded solve, built
+straight from the chosen rows, whose lower bandwidth is the farthest jump
+back in the state order.  Branching models are truncated to a finite
+window, jumps past it going to the cemetery (value zero), so truncated
+values are lower bounds that grow with the window.
 
 The one-jump rows are plain-Python ``JumpRows`` at every size, so this
 module never imports numpy; nor does it load ``solver`` or ``gen_fn``.
@@ -74,9 +75,9 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
     """Interior states that are not avoiding, their one-jump rows, and the
     avoiding states with their actions.
 
-    Entries carry normalized rates into the kept states, then the row's
-    target mass; mass into the cemetery or an avoiding state (value zero) is
-    dropped.
+    Each row's entries carry its normalized rates into the kept states, and
+    its target mass is kept apart; mass into the cemetery or an avoiding
+    state (value zero) is dropped.
     """
     avoiding = _avoiding(model)
     interior = tuple(s for s in model.interior_states() if s not in avoiding)
@@ -84,6 +85,7 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
     actions: list[str] = []
     state_ptr: list[int] = []
     entries: list[list[tuple[int, float]]] = []
+    target: list[float] = []
     for s in interior:
         state_ptr.append(len(actions))
         for a in model.actions_at(s):
@@ -95,11 +97,10 @@ def _compile(model: GeneralModel) -> tuple[tuple[State, ...], JumpRows, dict[Sta
                     const += rate / exit_rate
                 elif j in index:
                     row.append((index[j], rate / exit_rate))
-            if const > 0.0:
-                row.append((len(interior), const))
             entries.append(row)
+            target.append(const)
             actions.append(a)
-    return interior, JumpRows(tuple(actions), state_ptr, entries), avoiding
+    return interior, JumpRows(tuple(actions), state_ptr, entries, target), avoiding
 
 
 def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolution:
@@ -115,10 +116,10 @@ def value_iterate(model: GeneralModel, trace: list | None = None) -> HittingSolu
     interior, rows, avoiding = _compile(model)
 
     def evaluate(chosen):
-        x = rows.evaluate(chosen, residual=False)[0]
+        x = rows.evaluate(chosen)
         if trace is not None:
             trace.append(x)
-        return x, x, rows.value_vector(x)
+        return x, x, x
 
     sweeps = policy_iteration(rows, rows.state_ptr, evaluate)
     for iterations, (x, chosen, _, best) in enumerate(sweeps, 1):

@@ -1,20 +1,20 @@
 """Solves of (I - U) x = c for nonnegative systems.
 
 Every solve is one pivoted elimination inside the band of U,
-:func:`solve_banded`, which works from U's nonzero entries in O(n p (p + q))
-time and O(n (p + q)) memory, p and q being the lower and upper bandwidths.
-General-model policies whose jumps go two or more states down widen p.
-Band set-up and elimination are plain Python, so a solve loads no numpy.
-The elimination owns the band set up for it and updates its rows in place,
-so a solve makes no list per column and leaves the caller's entries
-untouched.  :func:`solve_unit` hands a dense U's entries to the same kernel
-as lists; it, :class:`UnitSystem` and :func:`has_invertible_structure` load
-numpy.
+:func:`solve_banded`, which takes U as its rows' nonzero ``(col, weight)``
+entries and works in O(n p (p + q)) time and O(n (p + q)) memory, p and q
+being the lower and upper bandwidths.  General-model policies whose jumps go
+two or more states down widen p.  Band set-up (one scan for the bandwidths,
+one scatter of each row into its band row) and elimination are plain
+Python, so a solve loads no numpy.  The elimination owns the band set up
+for it and updates its rows in place, so a solve makes no list per column
+and leaves the caller's rows untouched.  :func:`solve_unit` hands a dense
+U's rows to the same kernel; it, :class:`UnitSystem` and
+:func:`has_invertible_structure` load numpy.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
@@ -85,55 +85,55 @@ def has_invertible_structure(U) -> bool:
 
 def solve_unit(system: UnitSystem):
     """Solve (I - U) x = c for a dense U by :func:`solve_banded` on its
-    nonzero entries; returns a numpy array."""
+    rows' nonzero entries; returns a numpy array."""
     import numpy as np
 
-    rows, cols = np.nonzero(system.U)
-    entries = rows.tolist(), cols.tolist(), system.U[rows, cols].tolist()
-    return np.array(solve_banded(system.n, *entries, system.c.tolist()))
+    rows = [[(j, w) for j, w in enumerate(row) if w] for row in system.U.tolist()]
+    return np.array(solve_banded(rows, system.c.tolist()))
 
 
-def solve_banded(n: int, row, col, weight, c) -> list[float]:
+def solve_banded(rows, c) -> list[float]:
     """Solve (I - U) x = c by Gaussian elimination with partial pivoting,
-    for the n x n matrix U given by its entries ``U[row[e], col[e]] =
-    weight[e]``, every other entry zero.  Each (row, col) appears at most
-    once.
+    for the n x n matrix U given by its n rows: ``rows[i]`` lists the ``(j,
+    U[i, j])`` pairs of row i, in any order, each column at most once; every
+    other entry is zero.
 
-    With p = max(1, largest row - col) the lower and q the upper bandwidth,
+    With p = max(1, largest i - j) the lower and q the upper bandwidth,
     the pivot of column k is the first largest among rows k..k+p, and each
     swap widens the upper band to at most q + p, as in LAPACK gbtrf (Golub &
     Van Loan, Matrix Computations, section 4.3).  A row below the band has
     never been swapped or updated, so its entries in column k are still
     exact zeros: a search of every row would pick the same pivot and
     subtract exactly zero from those rows.  Each row of I - U is held as its
-    p + q + 1 entries from column row - p on, so no n x n array is built, and
+    p + q + 1 entries from column i - p on, so no n x n array is built, and
     back substitution sums each row's band in column order.
 
     Raises SingularSystem when the chosen pivot falls below ``PIVOT_RTOL``
     times the largest entry of I - U, which signals that the system's
     invertibility hypotheses do not hold.
     """
-    if n == 0:
+    if not rows:
         return []
-    return _eliminate(n, *_band(n, row, col, weight, c))
+    return _eliminate(len(rows), *_band(rows, c))
 
 
-def _band(n: int, row, col, weight, c) -> tuple:
+def _band(rows, c) -> tuple:
     """The band rows of I - U, c padded with p zeros, p and the largest
     entry of I - U."""
-    offsets = list(map(operator.sub, col, row))
+    offsets = [j - i for i, row in enumerate(rows) for j, _ in row]
     p = max(1, -min(offsets, default=0))
-    width = max(0, max(offsets, default=0)) + p + 1
-    unit = [0.0] * width
+    unit = [0.0] * (max(0, max(offsets, default=0)) + p + 1)
     unit[p] = 1.0
+    A = []
+    for first, row in enumerate(rows, -p):  # row i is held from column i - p
+        band = unit.copy()
+        for j, w in row:
+            band[j - first] -= w
+        A.append(band)
     # Rows n..n+p-1 are zero rows below the last, so the last p columns run
     # the same steps as the others.
-    A = list(map(list.copy, repeat(unit, n)))
-    A += [[0.0] * width for _ in range(p)]
-    for r, d, w in zip(row, offsets, weight):
-        A[r][d + p] -= w
-    x = list(map(float, c))
-    x += [0.0] * p
+    A += [[0.0] * len(unit) for _ in range(p)]
+    x = [*map(float, c), *[0.0] * p]
     return A, x, p, max(map(abs, chain.from_iterable(A)))
 
 

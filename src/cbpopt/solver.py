@@ -145,15 +145,16 @@ def evaluate_policy(model: CbpModel, f: Policy, rho_star: float) -> ExtinctionPr
     return _profile(passage, passage.rows_playing(f.head), _no_death_actions(model))
 
 
-def _read(passage: Passage, profile: ExtinctionProfile, cutoff: int) -> tuple[list, tuple, list]:
-    """The :func:`_reading` of the profile's values and every row's T_a."""
+def _read(passage: Passage, profile: ExtinctionProfile, cutoff: int) -> tuple[list, list]:
+    """The q_j open to improvement that :func:`_reading` reads from the
+    profile's values, and every row's T_a at its held vectors."""
     if profile.m != passage.n:
         raise ValueError(f"profile covers {profile.m} states but the model has m={passage.n}")
     values, held = _reading(profile.head_values, cutoff)
     cand = passage.candidates(held)
     if not all(map(math.isfinite, cand)):
         raise ValueError("profile values cannot be read as passage probabilities x_j / x_(j-1)")
-    return values, held, cand
+    return values, cand
 
 
 def _oe_residual(x, best: list[float], cutoff: int) -> float:
@@ -177,8 +178,8 @@ def improve_policy(model: CbpModel, f: Policy, profile: ExtinctionProfile) -> Po
     if cutoff > model.m and profile.rho_star is None:
         raise ValueError("geometric-tail improvement needs the profile's tail ratio")
     passage = Passage(model, 0.0 if profile.rho_star is None else profile.rho_star)
-    values, held, _ = _read(passage, profile, cutoff)
-    improved = passage.improve(passage.rows_playing(f.head), values, held)[0]
+    values, cand = _read(passage, profile, cutoff)
+    improved = passage.improve(passage.rows_playing(f.head), values, cand)[0]
     return Policy(head=passage.played(improved), tail=f.tail)
 
 
@@ -261,7 +262,7 @@ def verify_oe(model: CbpModel, profile: ExtinctionProfile) -> float:
         # Below a cutoff the tail is held at zero and the ratio is moot.
         rho = gen_fn.rho_star(model).rho_star if cutoff > model.m else 0.0
     passage = Passage(model, rho)
-    best = passage.least(_read(passage, profile, cutoff)[2])[0]
+    best = passage.least(_read(passage, profile, cutoff)[1])[0]
     return _oe_residual(profile.head_values, best, cutoff)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 import re
 import tracemalloc
@@ -278,19 +279,16 @@ class TestBandLimit:
         assert singular_column(got.value) == singular_column(want.value) <= k
 
 
+def nonzero_rows(U: np.ndarray) -> list:
+    return [[(j, w) for j, w in enumerate(row) if w] for row in U.tolist()]
+
+
 def banded_solve(U: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # Entries in reverse row-major order: the kernel must not depend on it.
-    row, col = np.nonzero(U)
-    row, col = row[::-1], col[::-1]
-    x = np.array(solve_banded(len(c), row, col, U[row, col], c))
-    # Entries given as numpy arrays and as lists give the same bits.
-    listed = solve_banded(len(c), row.tolist(), col.tolist(), U[row, col].tolist(), c.tolist())
-    assert np.array(listed).tobytes() == x.tobytes()
-    return x
+    return np.array(solve_banded(nonzero_rows(U), c.tolist()))
 
 
 class TestHessenberg:
-    """:func:`solve_banded` on entry lists, against dense elimination."""
+    """:func:`solve_banded` on rows of entries, against dense elimination."""
 
     @given(
         st.integers(min_value=1, max_value=30),
@@ -364,7 +362,7 @@ class TestHessenberg:
         with pytest.raises(SingularSystem, match="identically zero"):
             banded_solve(np.eye(3), np.ones(3))
         # An entry two below the diagonal widens the lower band to 2.
-        x = solve_banded(3, [2], [0], [0.5], np.ones(3))
+        x = solve_banded([[], [], [(0, 0.5)]], [1.0, 1.0, 1.0])
         assert x == [1.0, 1.0, 1.5]
 
 
@@ -376,19 +374,16 @@ class TestKernelOwnsTheBand:
         # p = 1, q = 2: a band of width 4.  A kernel that made a list per
         # column would nearly double the band's footprint.
         n = 2000
-        entries = [
-            (i, j, w)
+        rows = [
+            [(j, w) for j, w in ((i - 1, 0.5), (i + 1, 0.2), (i + 2, 0.1)) if 0 <= j < n]
             for i in range(n)
-            for j, w in ((i - 1, 0.5), (i + 1, 0.2), (i + 2, 0.1))
-            if 0 <= j < n
         ]
-        row, col, weight = map(list, zip(*entries))
         c = [0.2] * n
 
         def peak(setup):
             tracemalloc.start()
             try:
-                setup(n, row, col, weight, c)
+                setup(rows, c)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -409,17 +404,15 @@ class TestKernelOwnsTheBand:
             U[:, n // 2] = 0.0
             U[n // 2, n // 2] = 1.0
         c = rng.uniform(0.0, 1.0, size=n)
-        row, col = np.nonzero(U)
-        listed = [row.tolist(), col.tolist(), U[row, col].tolist(), c.tolist()]
-        arrays = [row, col, U[row, col], c]
+        listed = [nonzero_rows(U), c.tolist()]
         system = UnitSystem(U, c)
-        inputs = [*listed, *arrays, U, system.U, system.c]
-        copies = [v.copy() for v in inputs]
+        arrays = [U, c, system.U, system.c]
+        copies = copy.deepcopy([listed, arrays])
         with contextlib.suppress(SingularSystem):
-            solve_banded(n, *listed)
-        with contextlib.suppress(SingularSystem):
-            solve_banded(n, *arrays)
+            solve_banded(*listed)
         with contextlib.suppress(SingularSystem):
             solve_unit(system)
-        for got, want in zip(inputs, copies):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        # repr prints every float exactly, and every row's list and tuples.
+        assert repr(listed) == repr(copies[0])
+        for got, want in zip(arrays, copies[1]):
+            assert got.tobytes() == want.tobytes()
